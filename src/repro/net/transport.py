@@ -24,7 +24,8 @@ from collections import OrderedDict
 
 from repro.net.message import HEADER_BYTES, Message
 from repro.net.retry import DEFAULT_REQUEST_RETRY
-from repro.sim.errors import SimulationError
+from repro.sim.errors import Interrupt, SimulationError
+from repro.sim.events import AllOf, AnyOf, Event
 
 #: Per-record framing inside a batch (length prefix + kind tag); what a
 #: coalesced sub-message pays instead of a full :data:`HEADER_BYTES`.
@@ -62,8 +63,6 @@ def run_windowed(sim, thunks, window):
         for slot in range(min(window, len(thunks)))
     ]
     if workers:
-        from repro.sim.events import AllOf
-
         yield AllOf(sim, workers)
     return results
 
@@ -443,8 +442,6 @@ class Endpoint:
         policy = retry_policy or self._retry_policy
         network = self._network
         started = self._sim.now
-        from repro.sim.events import AnyOf
-
         for attempt in range(1, max_attempts + 1):
             if self._closed:
                 # Closed while backing off (e.g. our host crashed).
@@ -457,7 +454,7 @@ class Endpoint:
                 kind="request",
                 term=term,
             )
-            reply_event = self._sim.event(name=f"reply#{message.message_id}")
+            reply_event = Event(self._sim)
             self._pending_replies[message.message_id] = reply_event
             self._transmit(message)
             hedge_event = None
@@ -481,7 +478,7 @@ class Endpoint:
                         kind="request",
                         term=term,
                     )
-                    hedge_event = self._sim.event(name=f"reply#{backup.message_id}")
+                    hedge_event = Event(self._sim)
                     self._pending_replies[backup.message_id] = hedge_event
                     self._transmit(backup)
                     network.count("transport.hedges")
@@ -521,8 +518,6 @@ class Endpoint:
     # ------------------------------------------------------------------
 
     def _run(self):
-        from repro.sim.errors import Interrupt
-
         try:
             while True:
                 message = yield self._port.inbox.get()

@@ -19,6 +19,10 @@ class Event:
     scheduled), and *processed* (callbacks have run).  A process waits
     on an event by yielding it; the kernel resumes the process with the
     event's value, or throws the event's exception into it.
+
+    ``name`` labels the event in ``repr``.  It may be an
+    ``(owner, operation)`` pair of strings, which ``repr`` joins with a
+    dot, so that creating an event formats no string.
     """
 
     __slots__ = ("_sim", "_name", "_callbacks", "_value", "_ok")
@@ -62,7 +66,7 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self._sim._schedule_event(self)
+        self._sim._schedule_now(self._process)
         return self
 
     def fail(self, exception):
@@ -77,7 +81,7 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self._sim._schedule_event(self)
+        self._sim._schedule_now(self._process)
         return self
 
     def add_callback(self, callback):
@@ -89,7 +93,7 @@ class Event:
         """
         if self._callbacks is None:
             # Already processed: deliver asynchronously but immediately.
-            self._sim._schedule_call(lambda: callback(self))
+            self._sim._schedule_now(lambda: callback(self))
         else:
             self._callbacks.append(callback)
 
@@ -99,12 +103,20 @@ class Event:
         for callback in callbacks:
             callback(self)
 
+    def _label(self):
+        """The name shown by ``repr``; subclasses format theirs lazily."""
+        name = self._name
+        if not name:
+            return self.__class__.__name__
+        if isinstance(name, tuple):
+            return ".".join(name)
+        return name
+
     def __repr__(self):
         state = "pending"
         if self.triggered:
             state = "ok" if self._ok else "failed"
-        label = self._name or self.__class__.__name__
-        return f"<{label} {state} at t={self._sim.now:g}>"
+        return f"<{self._label()} {state} at t={self._sim.now:g}>"
 
 
 class Timeout(Event):
@@ -120,11 +132,11 @@ class Timeout(Event):
     def __init__(self, sim, delay, value=None, daemon=False):
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(sim, name=f"Timeout({delay:g})")
+        super().__init__(sim)
         self._delay = delay
         self._ok = True
         self._value = value
-        self._handle = sim._schedule_event(self, delay=delay, daemon=daemon)
+        self._handle = sim._push(delay, self._process, daemon)
 
     @property
     def delay(self):
@@ -135,16 +147,24 @@ class Timeout(Event):
         """Lazily cancel the pending trigger; returns True if it was live.
 
         A cancelled timeout never runs its callbacks and never keeps an
-        unbounded ``run()`` alive.  Cancelling after the timeout has
-        fired (or twice) is a harmless no-op — the kernel just skips
-        the dead queue entry, so losers of ``AnyOf`` races can always
-        be cancelled unconditionally.
+        unbounded ``run()`` alive.  It also releases its waiters: the
+        callbacks it will never run are dropped, so a composite that
+        raced it is not kept alive (or in a reference cycle) by it.
+        Cancelling after the timeout has fired (or twice) is a harmless
+        no-op — the kernel just skips the dead queue entry, so losers
+        of ``AnyOf`` races can always be cancelled unconditionally.
         """
         handle = self._handle
         if handle is None:
             return False
         self._handle = None
-        return self._sim._cancel_entry(handle)
+        if not self._sim._cancel_entry(handle):
+            return False
+        self._callbacks.clear()
+        return True
+
+    def _label(self):
+        return f"Timeout({self._delay:g})"
 
     def succeed(self, value=None):
         raise EventAlreadyTriggered("Timeout triggers itself")
@@ -159,7 +179,7 @@ class _ConditionEvent(Event):
     __slots__ = ("_events", "_pending")
 
     def __init__(self, sim, events):
-        super().__init__(sim, name=self.__class__.__name__)
+        super().__init__(sim)
         self._events = tuple(events)
         self._pending = len(self._events)
         if not self._events:
@@ -172,6 +192,22 @@ class _ConditionEvent(Event):
         """Value the composite succeeds with; subclass hook."""
         raise NotImplementedError
 
+    def _detach(self):
+        """Drop this composite's callback from children not yet processed.
+
+        Called once the composite has triggered: its outcome is fixed,
+        so a child that fires later has nothing to tell it, and a child
+        that never fires (an unanswered reply) must not keep it alive.
+        """
+        callback = self._on_child
+        for event in self._events:
+            callbacks = event._callbacks
+            if callbacks:
+                try:
+                    callbacks.remove(callback)
+                except ValueError:
+                    pass
+
     def _on_child(self, event):
         raise NotImplementedError
 
@@ -180,7 +216,8 @@ class AllOf(_ConditionEvent):
     """Succeeds when every child event has succeeded.
 
     The value is a dict mapping each child event to its value.  Fails
-    with the first child failure.
+    with the first child failure, and then detaches from the children
+    still pending: they keep running but no longer reference it.
     """
 
     __slots__ = ()
@@ -193,6 +230,7 @@ class AllOf(_ConditionEvent):
             return
         if not event.ok:
             self.fail(event.value)
+            self._detach()
             return
         self._pending -= 1
         if self._pending == 0:
@@ -203,7 +241,10 @@ class AnyOf(_ConditionEvent):
     """Succeeds as soon as any child event succeeds.
 
     The value is a dict with the single triggering event and its value.
-    Fails only if *all* children fail (with the last failure).
+    Fails only if *all* children fail (with the last failure).  Once it
+    has succeeded it detaches from the children still pending, so the
+    losers of the race (a cancelled guard timeout, a reply that never
+    comes) hold no reference back to it.
     """
 
     __slots__ = ()
@@ -216,6 +257,7 @@ class AnyOf(_ConditionEvent):
             return
         if event.ok:
             self.succeed({event: event.value})
+            self._detach()
             return
         self._pending -= 1
         if self._pending == 0:

@@ -8,6 +8,8 @@ simulation run fully deterministic regardless of which scheduler backs
 the queue.
 """
 
+from math import inf, nextafter
+
 from repro.sim.errors import SimulationError, StaleScheduleError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
@@ -81,20 +83,22 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _push(self, delay, action, daemon=False):
+        """Queue ``action`` after ``delay``; returns the lazily cancellable entry."""
         if delay < 0:
             raise StaleScheduleError(f"cannot schedule {delay} seconds in the past")
         return self._scheduler.push(self._now + delay, action, daemon)
 
-    def _schedule_event(self, event, delay=0.0, daemon=False):
-        """Queue a triggered event's callbacks to run after ``delay``.
-
-        Returns the scheduler entry so the caller can lazily cancel it.
-        """
-        return self._push(delay, event._process, daemon=daemon)
-
     def _schedule_call(self, func, delay=0.0):
-        """Queue a bare callable (used for process kick-off and resume)."""
+        """Queue a bare callable to run after ``delay``."""
         return self._push(delay, func)
+
+    def _schedule_now(self, action):
+        """Queue ``action`` at the current instant, behind what is queued.
+
+        Event triggers, process kick-off and interrupts take this path:
+        it skips the delay check and the clock arithmetic of ``_push``.
+        """
+        return self._scheduler.push(self._now, action, False)
 
     def _cancel_entry(self, entry):
         """Lazily cancel a scheduled entry (no-op once it has run)."""
@@ -109,13 +113,26 @@ class Simulator:
         entry = self._scheduler.pop()
         if entry is None:
             return False
+        self._fire(entry)
+        return True
+
+    def _fire(self, entry):
         if entry.time < self._now:
             raise SimulationError("event queue corrupted: time went backwards")
         self._now = entry.time
         # Mark consumed so a late cancel() of this entry is a no-op.
         action, entry.action = entry.action, None
         action()
-        return True
+
+    def _run_before(self, deadline):
+        """Process every entry due before ``deadline``, one queue scan each."""
+        pop_before = self._scheduler.pop_before
+        fire = self._fire
+        while True:
+            entry = pop_before(deadline)
+            if entry is None:
+                return
+            fire(entry)
 
     def run(self, until=None):
         """Run the simulation.
@@ -143,12 +160,7 @@ class Simulator:
     def _run_until_time(self, deadline):
         if deadline < self._now:
             raise ValueError(f"cannot run until {deadline}; clock is at {self._now}")
-        scheduler = self._scheduler
-        while True:
-            when = scheduler.peek_time()
-            if when is None or when >= deadline:
-                break
-            self.step()
+        self._run_before(deadline)
         self._now = deadline
         return None
 
@@ -157,8 +169,7 @@ class Simulator:
             if not self.step():
                 raise SimulationError(f"simulation ran out of events before {event!r} triggered")
         # Drain same-instant callbacks so observers see a settled state.
-        while self._scheduler.peek_time() == self._now:
-            self.step()
+        self._run_before(nextafter(self._now, inf))
         if event.ok:
             return event.value
         raise event.value

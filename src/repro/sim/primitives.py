@@ -13,6 +13,7 @@ These are the building blocks used by the network and object layers:
 from collections import deque
 
 from repro.sim.errors import SimulationError
+from repro.sim.events import Event
 
 
 class QueueFull(SimulationError):
@@ -64,7 +65,7 @@ class Queue:
 
     def put(self, item):
         """Return an event that triggers once ``item`` is enqueued."""
-        event = self._sim.event(name=f"{self._name}.put")
+        event = Event(self._sim, (self._name, "put"))
         if not self.is_full:
             self._enqueue(item)
             event.succeed()
@@ -80,7 +81,7 @@ class Queue:
 
     def get(self):
         """Return an event that succeeds with the next item."""
-        event = self._sim.event(name=f"{self._name}.get")
+        event = Event(self._sim, (self._name, "get"))
         if self._items:
             event.succeed(self._dequeue())
         else:
@@ -145,7 +146,7 @@ class Semaphore:
 
     def acquire(self):
         """Return an event that succeeds once a permit is held."""
-        event = self._sim.event(name=f"{self._name}.acquire")
+        event = Event(self._sim, (self._name, "acquire"))
         if self._permits > 0:
             self._permits -= 1
             event.succeed()
@@ -207,7 +208,7 @@ class Signal:
 
     def wait(self):
         """Return an event that succeeds at the next :meth:`fire`."""
-        event = self._sim.event(name=f"{self._name}.wait")
+        event = Event(self._sim, (self._name, "wait"))
         self._waiters.append(event)
         return event
 

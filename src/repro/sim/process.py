@@ -36,7 +36,7 @@ class Process(Event):
         self._waiting_on = None
         self._interrupts = []
         # Kick off the generator at the current simulated time.
-        sim._schedule_call(self._resume_first)
+        sim._schedule_now(self._resume_first)
 
     @property
     def is_alive(self):
@@ -59,7 +59,7 @@ class Process(Event):
         if self is self._sim.active_process:
             raise RuntimeError("a process cannot interrupt itself")
         self._interrupts.append(Interrupt(cause))
-        self._sim._schedule_call(self._deliver_interrupt)
+        self._sim._schedule_now(self._deliver_interrupt)
 
     def _deliver_interrupt(self):
         if not self._interrupts or not self.is_alive:
@@ -107,8 +107,9 @@ class Process(Event):
     def _wait_for(self, target):
         if target is None:
             # Cooperative yield: resume after currently-queued events.
-            self._sim._schedule_call(lambda: self._step(None))
-            return
+            # Waiting on a triggered event lets an interrupt detach the
+            # process from the yield, as from any other wait.
+            target = Event(self._sim).succeed()
         if isinstance(target, Event):
             if target.sim is not self._sim:
                 self._step(

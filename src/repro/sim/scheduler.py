@@ -1,8 +1,8 @@
 """Pluggable event schedulers for the simulation kernel.
 
 Two implementations share one interface (``push`` / ``pop`` /
-``peek_time`` / ``cancel`` plus the ``processed`` / ``nondaemon_pending``
-/ ``pending`` counters):
+``pop_before`` / ``cancel`` plus the ``processed`` /
+``nondaemon_pending`` / ``pending`` counters):
 
 - :class:`CalendarScheduler` — the default.  A calendar queue keyed by
   *exact* event time: a dict maps each distinct instant to a FIFO
@@ -24,7 +24,7 @@ increases, so appending to a per-instant FIFO bucket preserves the
 
 Both schedulers support *lazy cancellation*: ``cancel(entry)`` marks the
 entry dead in place (``action = None``) and fixes the non-daemon count
-immediately; ``pop``/``peek_time`` skip dead entries without counting
+immediately; ``pop``/``pop_before`` skip dead entries without counting
 them as processed.  Timeouts that lose a race (e.g. a request's guard
 timeout when the reply wins) stop paying heap churn and stop keeping
 ``run()`` alive.
@@ -32,6 +32,7 @@ timeout when the reply wins) stop paying heap churn and stop keeping
 
 import heapq
 from collections import deque
+from math import inf
 
 
 class _Entry:
@@ -56,7 +57,8 @@ class CalendarScheduler:
     """Bucketed event scheduler with O(1) common-case push/pop.
 
     Invariant: a time appears in the ``_times`` heap exactly when its
-    bucket exists in ``_buckets``, and exactly once.
+    bucket exists in ``_buckets``, and exactly once.  A bucket may be
+    empty: ``pop`` leaves the current instant's bucket in place.
     """
 
     __slots__ = ("_buckets", "_times", "_seq", "processed", "nondaemon_pending", "_live")
@@ -114,20 +116,22 @@ class CalendarScheduler:
             del buckets[time]
         return None
 
-    def peek_time(self):
-        """Time of the next live entry, or None when empty."""
-        return self._prune()
-
     def pop(self):
         """Pop the next live entry (folding the bookkeeping), or None."""
+        return self.pop_before(inf)
+
+    def pop_before(self, deadline):
+        """Pop the next live entry if it is due before ``deadline``.
+
+        One scan of the queue per entry: the run loop no longer peeks
+        and then pops.  A bucket this empties is kept, so work pushed
+        at the same instant (event triggers, process starts) appends
+        to it; :meth:`_prune` reclaims it once the clock moves on.
+        """
         time = self._prune()
-        if time is None:
+        if time is None or time >= deadline:
             return None
-        bucket = self._buckets[time]
-        entry = bucket.popleft()
-        if not bucket:
-            heapq.heappop(self._times)
-            del self._buckets[time]
+        entry = self._buckets[time].popleft()
         self.processed += 1
         if not entry.daemon:
             self.nondaemon_pending -= 1
@@ -174,21 +178,19 @@ class HeapScheduler:
         self._live -= 1
         return True
 
-    def peek_time(self):
+    def pop(self):
+        return self.pop_before(inf)
+
+    def pop_before(self, deadline):
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry.action is not None:
-                return entry.time
-            heapq.heappop(heap)
-        return None
-
-    def pop(self):
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
             if entry.action is None:
+                heapq.heappop(heap)
                 continue
+            if entry.time >= deadline:
+                return None
+            heapq.heappop(heap)
             self.processed += 1
             if not entry.daemon:
                 self.nondaemon_pending -= 1

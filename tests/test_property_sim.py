@@ -3,7 +3,17 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import DeterministicRNG, Queue, Semaphore, Simulator
+from repro.sim import (
+    AllOf,
+    AnyOf,
+    CalendarScheduler,
+    DeterministicRNG,
+    HeapScheduler,
+    Interrupt,
+    Queue,
+    Semaphore,
+    Simulator,
+)
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False),
@@ -117,3 +127,99 @@ def test_download_time_model_is_monotone_in_size(size):
     larger = calibration.download_time(size + calibration.download_chunk_bytes)
     assert larger > smaller
     assert smaller >= calibration.download_setup_s
+
+
+# -- the run loop: slicing a run never reorders it ---------------------
+
+#: Delays on a quarter grid, so slice cuts land exactly on event times.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
+_EVENT = st.integers(min_value=0, max_value=3)
+_OPS = st.one_of(
+    st.tuples(st.just("sleep"), _DELAYS),
+    st.tuples(st.just("yield")),
+    st.tuples(st.just("succeed"), _EVENT),
+    st.tuples(st.just("fail"), _EVENT),
+    st.tuples(st.just("wait"), _EVENT),
+    st.tuples(st.just("cancel_before"), _DELAYS),
+    st.tuples(st.just("cancel_after"), _DELAYS),
+    st.tuples(st.just("any_of"), _DELAYS, _EVENT),
+    st.tuples(st.just("all_of"), _DELAYS, _DELAYS),
+    st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=4)),
+)
+_PROGRAMS = st.lists(st.lists(_OPS, max_size=8), min_size=1, max_size=5)
+#: Every program is over well before this instant.
+_HORIZON = 20.0
+_CUTS = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=int(_HORIZON * 4)).map(lambda q: q / 4),
+        st.floats(min_value=0.0, max_value=_HORIZON),
+    ),
+    max_size=8,
+)
+
+
+def _program_body(sim, pid, ops, events, procs, trace):
+    for index, op in enumerate(ops):
+        kind = op[0]
+        label = f"p{pid}.{index}.{kind}"
+        try:
+            if kind == "sleep":
+                yield sim.timeout(op[1])
+            elif kind == "yield":
+                yield None
+            elif kind == "succeed" and not events[op[1]].triggered:
+                events[op[1]].succeed(label)
+            elif kind == "fail" and not events[op[1]].triggered:
+                events[op[1]].fail(ValueError(label))
+            elif kind == "wait":
+                label += f"={(yield events[op[1]])}"
+            elif kind == "cancel_before":
+                sim.timeout(op[1]).cancel()
+                yield sim.timeout(op[1])
+            elif kind == "cancel_after":
+                timeout = sim.timeout(op[1])
+                yield timeout
+                timeout.cancel()
+            elif kind == "any_of":
+                timeout = sim.timeout(op[1])
+                outcome = yield AnyOf(sim, [events[op[2]], timeout])
+                timeout.cancel()
+                label += "+event" if events[op[2]] in outcome else "+timeout"
+            elif kind == "all_of":
+                yield AllOf(sim, [sim.timeout(op[1]), sim.timeout(op[2])])
+            elif kind == "interrupt":
+                target = procs[op[1] % len(procs)]
+                if target.is_alive and target is not procs[pid]:
+                    target.interrupt(label)
+        except Interrupt as interrupt:
+            label += f"!{interrupt.cause}"
+        except ValueError as error:
+            label += f"!{error}"
+        trace.append((sim.now, label))
+
+
+def _run_program(program, scheduler, cuts=None):
+    """Run ``program``; ``cuts`` None means one unbounded ``run()``."""
+    sim = Simulator(scheduler=scheduler)
+    trace = []
+    events = [sim.event(name=f"e{k}") for k in range(4)]
+    procs = []
+    for pid, ops in enumerate(program):
+        procs.append(sim.spawn(_program_body(sim, pid, ops, events, procs, trace), name=f"p{pid}"))
+    if cuts is None:
+        sim.run()
+    else:
+        for cut in sorted(cuts):
+            sim.run(until=cut)
+        sim.run(until=_HORIZON)
+    return trace, sim.processed_events
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PROGRAMS, _CUTS)
+def test_sliced_unsliced_and_unbounded_runs_agree_on_both_schedulers(program, cuts):
+    expected = _run_program(program, CalendarScheduler(), cuts=[])
+    for scheduler in (CalendarScheduler, HeapScheduler):
+        assert _run_program(program, scheduler(), cuts=[]) == expected
+        assert _run_program(program, scheduler(), cuts=cuts) == expected
+        assert _run_program(program, scheduler()) == expected

@@ -423,3 +423,23 @@ def test_heap_scheduler_simulator_end_to_end():
     sim.spawn(proc("tied", 2.0))
     sim.run()
     assert order == [(1.0, "early"), (2.0, "late"), (2.0, "tied")]
+
+
+def test_run_until_drops_cancelled_entries_beyond_the_deadline():
+    """Cancelled guard timeouts far in the future must not pile up in
+    the queue while a run advances in short slices: with nothing live
+    ahead of them, the scan that ends a slice drops them."""
+    from repro.sim import CalendarScheduler, HeapScheduler
+
+    def queued(scheduler):
+        if isinstance(scheduler, HeapScheduler):
+            return len(scheduler._heap)
+        return sum(len(bucket) for bucket in scheduler._buckets.values())
+
+    for scheduler in (CalendarScheduler(), HeapScheduler()):
+        sim = Simulator(scheduler=scheduler)
+        for index in range(100):
+            sim.timeout(60.0 + index).cancel()
+        sim.run(until=1.0)
+        assert queued(scheduler) == 0
+        assert sim.now == 1.0

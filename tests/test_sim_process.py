@@ -130,6 +130,30 @@ def test_interrupted_process_can_keep_running():
     assert target.value == 6.0
 
 
+def test_interrupt_at_cooperative_yield_is_not_followed_by_a_stale_resume():
+    sim = Simulator()
+    steps = []
+
+    def yielder():
+        yield sim.timeout(0)
+        try:
+            yield None
+        except Interrupt as interrupt:
+            steps.append(("interrupted", interrupt.cause))
+        steps.append("finished")
+
+    def interrupter(target):
+        target.interrupt("now")
+        yield sim.timeout(1)
+
+    target = sim.spawn(yielder())
+    sim.spawn(interrupter(target))
+    sim.run()
+    # The yield's own resume must not step the generator a second time.
+    assert steps == [("interrupted", "now"), "finished"]
+    assert target.ok
+
+
 def test_original_event_after_interrupt_is_ignored():
     sim = Simulator()
     event = sim.event()
