@@ -136,13 +136,18 @@ class ReactiveController:
         return self
 
     def stop(self):
-        """Stop the loop and release the lease on the live manager."""
+        """Stop the loop and release the lease on the live manager.
+
+        Intents an older term left open are orphaned first: the tick
+        that would have collected them after a promotion never runs.
+        """
         self._stopped = True
         if self._subscribed:
             self.runtime.network.bus.unsubscribe("*", self._on_event)
             self._subscribed = False
         manager = self._resolve_manager()
         if manager is not None and not manager.deposed:
+            manager.gc_remediations()
             manager.release_remediation_lease(self.name)
 
     # ------------------------------------------------------------------

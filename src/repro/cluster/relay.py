@@ -588,8 +588,6 @@ def deploy_relays(runtime, hosts=None, context_prefix="/relays"):
     them by name (§2.3: one global namespace for everything).  Calling
     again is idempotent per host — an existing live relay is reused.
     """
-    from repro.legion.loid import mint_loid
-
     if hosts is None:
         hosts = sorted(runtime.hosts)
     directory = {}
@@ -605,7 +603,7 @@ def deploy_relays(runtime, hosts=None, context_prefix="/relays"):
                 directory[host_name] = existing
                 continue
             runtime.context_space.unbind(path)
-        loid = mint_loid(runtime.domain, "HostRelay")
+        loid = runtime.mint_loid("HostRelay")
         relay = HostRelay(runtime, loid, host)
         runtime.sim.run_process(relay.activate())
         runtime.attach_object(relay)

@@ -69,14 +69,8 @@ from repro.core.errors import (
 from repro.core.functions import FunctionDef, Marking
 from repro.core.ico import ImplementationComponentObject
 from repro.core.impltype import NATIVE, ImplementationType
-from repro.core.manager import (
-    CanaryState,
-    DCDOManager,
-    VersionRecord,
-    WaveMode,
-    WavePolicy,
-    define_dcdo_type,
-)
+from repro.core.manager import DCDOManager, WaveMode, WavePolicy, define_dcdo_type
+from repro.core.manager_state import CanaryState, ManagerState, VersionRecord
 from repro.core.policies.canary import (
     CanaryOutcome,
     CanaryWavePolicy,
@@ -155,6 +149,7 @@ __all__ = [
     "ReplicationLink",
     "RollbackFailed",
     "StandbyReplica",
+    "ManagerState",
     "HASH_SPACE",
     "PartitionMap",
     "PartitionRouter",

@@ -27,14 +27,18 @@ from repro.core.errors import (
     WaveAborted,
 )
 from repro.core.ico import ImplementationComponentObject
+from repro.core.manager_state import (
+    ManagerState,
+    VersionRecord,
+    apply,
+    checkpoint_rows,
+)
 from repro.core.partition import HASH_SPACE, StalePartitionMap, partition_slot
 from repro.core.policies.evolution import SingleVersionPolicy
 from repro.core.policies.update import ExplicitUpdatePolicy
-from repro.core.recovery import DeliveryStatus, PropagationTracker
-from repro.core.version import VersionTree
+from repro.core.recovery import DeliveryStatus, JournalEntry
 from repro.legion.errors import LegionError, StaleManagerTerm, UnknownObject
 from repro.legion.klass import ClassObject, InstanceRecord
-from repro.legion.loid import mint_loid
 from repro.net import ManagerTerm, RetryPolicy, TransportError, run_windowed
 
 #: Spacing for at-least-once propagation deliveries: patient enough to
@@ -89,66 +93,6 @@ class WavePolicy:
     def should_abort(self, failed_count):
         """True when ``failed_count`` failures cross the threshold."""
         return self.mode is WaveMode.ABORT and failed_count > self.abort_threshold
-
-
-@dataclass
-class VersionRecord:
-    """One entry in the DFM store."""
-
-    version: object
-    descriptor: DFMDescriptor
-    instantiable: bool = False
-    parent: object = None
-
-
-@dataclass
-class CanaryState:
-    """Durable gate state for one SLO-gated canary rollout.
-
-    Every transition (stage admitted, gate passed, breach declared,
-    rollout completed) is journaled by the manager, so a promoted
-    standby knows exactly which instances a half-finished canary had
-    already touched — it resumes the frozen admitted set (or completes
-    the abort) instead of blindly re-converging the whole fleet.
-    """
-
-    version: object
-    #: Cumulative fleet fractions per ramp stage, e.g. (0.01, 0.1, 1.0).
-    stages: tuple
-    #: Bake window (seconds of healthy SLO) each stage must survive.
-    bake_s: float
-    #: Instances admitted to the wave so far, admission order.
-    admitted: list = None
-    #: Number of stages whose health gate has passed.
-    stage_index: int = 0
-    breached: bool = False
-    breach_reason: str = None
-    #: True when the final gate passed and the version was adopted.
-    complete: bool = False
-    #: True when a breach-triggered abort finished rolling back.
-    aborted: bool = False
-
-    def __post_init__(self):
-        if self.admitted is None:
-            self.admitted = []
-
-    @property
-    def closed(self):
-        """True when the rollout is finished, either way."""
-        return self.complete or self.aborted
-
-    def summary(self):
-        """Plain-dict view for reports and assertions."""
-        return {
-            "version": str(self.version),
-            "stages": list(self.stages),
-            "stage_index": self.stage_index,
-            "admitted": len(self.admitted),
-            "breached": self.breached,
-            "breach_reason": self.breach_reason,
-            "complete": self.complete,
-            "aborted": self.aborted,
-        }
 
 
 class DCDOManager(ClassObject):
@@ -209,14 +153,15 @@ class DCDOManager(ClassObject):
         self.evolution_policy = evolution_policy or SingleVersionPolicy()
         self.update_policy = update_policy or ExplicitUpdatePolicy()
         self._remove_policy = remove_policy or RemovePolicy.error()
-        self._version_tree = VersionTree()
-        self._dfm_store = {}
-        self._current_version = None
-        self._components = {}
-        self._instance_versions = {}
+        #: The durable DFM store and DCDO table (see
+        #: :mod:`repro.core.manager_state`); only :meth:`_commit` and
+        #: journal replay change it.
+        self.state = ManagerState()
+        #: Configurable versions' records: in-memory drafts, lost in a
+        #: crash (their ids are durable, their edits are not).
+        self._drafts = {}
+        #: Runtime link: implementation type of each live instance.
         self._instance_impl_types = {}
-        self._propagations = {}
-        self._canaries = {}
         self._journal = None
         self.propagation_retry_policy = (
             propagation_retry_policy or DEFAULT_PROPAGATION_RETRY
@@ -231,11 +176,6 @@ class DCDOManager(ClassObject):
         self._relay_roster_id = None
         self.wave_policy = wave_policy or WavePolicy.converge()
         self.evolutions_performed = 0
-        #: Monotonic fencing term: every management RPC this manager
-        #: sends carries (type_name, term).  Recovery bumps it, so a
-        #: deposed primary's traffic is rejected by anything the newer
-        #: primary already touched.
-        self._term = 1
         #: Set once a peer proves a newer term exists; the manager has
         #: deactivated itself and must never act again.
         self.deposed = False
@@ -247,12 +187,6 @@ class DCDOManager(ClassObject):
         self.shard_id = None
         self._term_scope = type_name
         self._partition_view = None
-        self._released_spans = []
-        #: Remediation plane: one term-fenced lease gating automated
-        #: (controller-originated) actions, plus the journaled intents
-        #: of in-flight remediations (see the remediation section).
-        self._remediation_lease = None
-        self._remediations = {}
         self._register_manager_methods()
         if journal is not None:
             self.attach_journal(journal)
@@ -285,10 +219,20 @@ class DCDOManager(ClassObject):
             journal.meta["term_scope"] = self._term_scope
             journal.meta["partition_map"] = self._partition_view
 
-    def _journal_append(self, kind, **data):
-        if self._journal is not None:
-            self._journal.append(kind, **data)
+    def _commit(self, kind, **data):
+        """Make one durable change: journal it, then apply it.
+
+        The entry is appended to the attached journal (if any) before
+        :func:`~repro.core.manager_state.apply` changes :attr:`state`,
+        so the journal always holds every change the state shows.
+        """
+        journal = self._journal
+        if journal is None:
+            entry = JournalEntry(kind, data)
+        else:
+            entry = journal.append(kind, **data)
             self._publish_journal_gauges()
+        apply(self.state, entry)
 
     def _publish_journal_gauges(self):
         if self._journal is None:
@@ -306,12 +250,17 @@ class DCDOManager(ClassObject):
 
     @property
     def term(self):
-        """This manager's fencing term number."""
-        return self._term
+        """This manager's fencing term number.
+
+        Every management RPC this manager sends carries (scope, term).
+        Recovery bumps it, so a deposed primary's traffic is rejected
+        by anything the newer primary already touched.
+        """
+        return self.state.term
 
     def current_term(self):
         """The :class:`~repro.net.ManagerTerm` stamped on outgoing RPCs."""
-        return ManagerTerm(self._term_scope, self._term)
+        return ManagerTerm(self._term_scope, self.state.term)
 
     def bump_term(self):
         """Advance the fencing term (journaled); returns the new number.
@@ -321,11 +270,10 @@ class DCDOManager(ClassObject):
         failover, because the bump is journaled and shipped like any
         other durable decision.
         """
-        self._term += 1
-        self._journal_append("term", number=self._term)
+        self._commit("term", number=self.state.term + 1)
         self._count("manager.term_bumps")
-        self._runtime.trace("manager-term", self.loid, term=self._term)
-        return self._term
+        self._runtime.trace("manager-term", self.loid, term=self.state.term)
+        return self.state.term
 
     def _fence(self, error):
         """Stand down: a peer proved a newer term exists.
@@ -342,7 +290,7 @@ class DCDOManager(ClassObject):
         self._runtime.trace(
             "manager-fenced",
             self.loid,
-            term=self._term,
+            term=self.state.term,
             latest=getattr(error, "latest", None),
         )
         self.deactivate()
@@ -440,12 +388,11 @@ class DCDOManager(ClassObject):
         journaled as a normal ``component`` entry — replay re-links the
         shared ICO (or re-creates it if its host died).
         """
-        if component.component_id in self._components:
+        if component.component_id in self.state.components:
             raise ValueError(
                 f"component {component.component_id!r} already registered"
             )
-        self._components[component.component_id] = (component, ico_loid)
-        self._journal_append(
+        self._commit(
             "component",
             component=component,
             ico_loid=ico_loid,
@@ -460,7 +407,7 @@ class DCDOManager(ClassObject):
         for loid, record in self._instances.items():
             if lo <= partition_slot(loid) < hi:
                 rows.append(
-                    (loid, record, self._instance_versions.get(loid))
+                    (loid, record, self.state.instance_versions.get(loid))
                 )
         return rows
 
@@ -477,14 +424,9 @@ class DCDOManager(ClassObject):
             self._instances[loid] = record
             if record.obj is not None:
                 self._instance_impl_types[loid] = record.obj.implementation_type
-            self._journal_append(
-                "instance", loid=loid, host_name=record.host.name
-            )
+            self._commit("instance", loid=loid, host_name=record.host.name)
             if version is not None:
-                self._instance_versions[loid] = version
-                self._journal_append(
-                    "instance-version", loid=loid, version=version
-                )
+                self._commit("instance-version", loid=loid, version=version)
 
     def release_span(self, span):
         """Drop rows in ``span`` after the map has moved them away.
@@ -496,15 +438,11 @@ class DCDOManager(ClassObject):
         touched.
         """
         lo, hi = span
-        dropped = []
-        for loid in list(self._instances):
-            if lo <= partition_slot(loid) < hi:
-                dropped.append(loid)
-                del self._instances[loid]
-                self._instance_versions.pop(loid, None)
-                self._instance_impl_types.pop(loid, None)
-        self._released_spans.append(span)
-        self._journal_append("range-released", span=span)
+        dropped = [
+            loid for loid in self._instances if lo <= partition_slot(loid) < hi
+        ]
+        self._commit("range-released", span=span)
+        self._unlink(dropped)
         self.bump_term()
         self._count("manager.shard.ranges_released")
         return dropped
@@ -516,16 +454,17 @@ class DCDOManager(ClassObject):
         handoff (rows adopted and journaled before the map commit
         failed).  Journaled so replay forgets them too.
         """
-        pruned = []
-        for loid in loids:
-            if loid in self._instances:
-                del self._instances[loid]
-                self._instance_versions.pop(loid, None)
-                self._instance_impl_types.pop(loid, None)
-                pruned.append(loid)
+        pruned = [loid for loid in loids if loid in self._instances]
         if pruned:
-            self._journal_append("rows-pruned", loids=tuple(pruned))
+            self._commit("rows-pruned", loids=tuple(pruned))
+            self._unlink(pruned)
         return pruned
+
+    def _unlink(self, loids):
+        """Drop the runtime links of rows the state no longer holds."""
+        for loid in loids:
+            del self._instances[loid]
+            self._instance_impl_types.pop(loid, None)
 
     # ------------------------------------------------------------------
     # Component registration (ICOs)
@@ -538,34 +477,28 @@ class DCDOManager(ClassObject):
         under ``/components/<type>/<component-id>`` so it benefits from
         the system's global namespace (§2.3).
         """
-        if component.component_id in self._components:
+        if component.component_id in self.state.components:
             raise ValueError(f"component {component.component_id!r} already registered")
         host = self._pick_host(host_name)
-        loid = mint_loid(self._runtime.domain, f"{self.type_name}.ICO")
+        loid = self._runtime.mint_loid(f"{self.type_name}.ICO")
         ico = ImplementationComponentObject(self._runtime, loid, host, component=component)
         self._runtime.sim.run_process(ico.activate())
         self._runtime.attach_object(ico)
         self._runtime.context_space.bind(
             f"/components/{self.type_name}/{component.component_id}", loid
         )
-        self._components[component.component_id] = (component, loid)
-        self._journal_append(
+        self._commit(
             "component", component=component, ico_loid=loid, host_name=host.name
         )
         return loid
 
     def component_ico(self, component_id):
         """The ICO LOID serving ``component_id``."""
-        try:
-            return self._components[component_id][1]
-        except KeyError:
-            raise UnknownVersion(
-                f"component {component_id!r} is not registered with this manager"
-            ) from None
+        return self._components_entry(component_id)[1]
 
     def registered_components(self):
         """Sorted registered component ids."""
-        return sorted(self._components)
+        return sorted(self.state.components)
 
     # ------------------------------------------------------------------
     # The DFM store: version derivation and configuration (§2.4)
@@ -574,15 +507,17 @@ class DCDOManager(ClassObject):
     @property
     def current_version(self):
         """The designated current version, or None."""
-        return self._current_version
+        return self.state.current_version
 
     def versions(self):
-        """All version ids in the DFM store."""
-        return sorted(self._dfm_store, key=lambda version: version.parts)
+        """All version ids in the DFM store (frozen and drafts)."""
+        return sorted(
+            [*self.state.versions, *self._drafts], key=lambda version: version.parts
+        )
 
     def version_record(self, version):
         """The :class:`VersionRecord`, or raise :class:`UnknownVersion`."""
-        record = self._dfm_store.get(version)
+        record = self.state.versions.get(version) or self._drafts.get(version)
         if record is None:
             raise UnknownVersion(f"no version {version} in the DFM store")
         return record
@@ -593,22 +528,22 @@ class DCDOManager(ClassObject):
 
     def new_version(self):
         """Create a fresh root version with an empty descriptor."""
-        version = self._version_tree.new_root()
-        self._dfm_store[version] = VersionRecord(version=version, descriptor=DFMDescriptor())
-        self._journal_append("version-created", version=version, parent=None)
+        version = self.state.tree.next_root()
+        self._commit("version-created", version=version, parent=None)
+        self._drafts[version] = VersionRecord(version=version, descriptor=DFMDescriptor())
         return version
 
     def derive_version(self, parent):
         """§2.4: create a configurable version by logically copying
         ``parent``; returns the new version id."""
         parent_record = self.version_record(parent)
-        version = self._version_tree.derive(parent)
-        self._dfm_store[version] = VersionRecord(
+        version = self.state.tree.next_child(parent)
+        self._commit("version-created", version=version, parent=parent)
+        self._drafts[version] = VersionRecord(
             version=version,
             descriptor=parent_record.descriptor.clone(),
             parent=parent,
         )
-        self._journal_append("version-created", version=version, parent=parent)
         return version
 
     def descriptor_of(self, version, allow_instantiable=False):
@@ -631,12 +566,13 @@ class DCDOManager(ClassObject):
         self.descriptor_of(version).incorporate(component, ico_loid)
 
     def _components_entry(self, component_id):
-        entry = self._components.get(component_id)
+        """``(component, ico_loid)`` for a registered component."""
+        entry = self.state.components.get(component_id)
         if entry is None:
             raise UnknownVersion(
                 f"component {component_id!r} is not registered with this manager"
             )
-        return entry
+        return entry[:2]
 
     def mark_instantiable(self, version):
         """Freeze a configurable version after validating it (§2.4/§3.2)."""
@@ -644,17 +580,17 @@ class DCDOManager(ClassObject):
         if record.instantiable:
             return
         record.descriptor.validate_instantiable()
-        record.instantiable = True
         # The frozen descriptor is the durable artefact: a journal
         # replay restores instantiable versions byte-for-byte, while
-        # still-configurable descriptors are in-memory scratch state
-        # and are lost with the crash.
-        self._journal_append(
+        # still-configurable descriptors are in-memory drafts and are
+        # lost with the crash.
+        self._commit(
             "version-instantiable",
             version=version,
             parent=record.parent,
             descriptor=record.descriptor.clone(),
         )
+        del self._drafts[version]
         self._runtime.trace(
             "version-instantiable",
             self.loid,
@@ -676,8 +612,7 @@ class DCDOManager(ClassObject):
             raise VersionNotInstantiable(
                 f"version {version} must be instantiable before becoming current"
             )
-        self._current_version = version
-        self._journal_append("current-version", version=version)
+        self._commit("current-version", version=version)
         self._runtime.trace(
             "current-version-set",
             self.loid,
@@ -698,8 +633,7 @@ class DCDOManager(ClassObject):
             raise VersionNotInstantiable(
                 f"version {version} must be instantiable before becoming current"
             )
-        self._current_version = version
-        self._journal_append("current-version", version=version)
+        self._commit("current-version", version=version)
         propagation = self.update_policy.on_new_current_version(self)
         if propagation is None:
             return None
@@ -712,7 +646,7 @@ class DCDOManager(ClassObject):
     def instance_version(self, loid):
         """The version a managed instance currently reflects."""
         self.record(loid)  # raises UnknownObject for strangers
-        return self._instance_versions.get(loid)
+        return self.state.instance_versions.get(loid)
 
     def instance_impl_type(self, loid):
         """The implementation type of an instance's current build."""
@@ -724,7 +658,7 @@ class DCDOManager(ClassObject):
         return [
             (
                 record.loid,
-                self._instance_versions.get(record.loid),
+                self.state.instance_versions.get(record.loid),
                 self._instance_impl_types.get(record.loid),
                 record.active,
             )
@@ -743,7 +677,7 @@ class DCDOManager(ClassObject):
         designated current version", §3.4); re-activations after
         migration or deactivation rebuild the instance's *own* version.
         """
-        version = self._instance_versions.get(loid, self._current_version)
+        version = self.state.instance_versions.get(loid, self.state.current_version)
         if version is None:
             raise VersionNotInstantiable(
                 f"type {self.type_name!r} has no current version to instantiate"
@@ -780,13 +714,10 @@ class DCDOManager(ClassObject):
         return obj, str(version)
 
     def _instance_created(self, record):
-        self._instance_versions[record.loid] = self._current_version
         self._instance_impl_types[record.loid] = record.obj.implementation_type
-        self._journal_append(
-            "instance", loid=record.loid, host_name=record.host.name
-        )
-        self._journal_append(
-            "instance-version", loid=record.loid, version=self._current_version
+        self._commit("instance", loid=record.loid, host_name=record.host.name)
+        self._commit(
+            "instance-version", loid=record.loid, version=self.state.current_version
         )
         self.update_policy.on_instance_created(self, record)
 
@@ -795,6 +726,36 @@ class DCDOManager(ClassObject):
         followup = self.update_policy.on_instance_migrated(self, record)
         if followup is not None:
             self._runtime.sim.spawn(followup, name=f"post-migrate:{record.loid}")
+
+    def recover_instance(self, loid, host_name=None):
+        """Generator: rebuild a crash-lost instance, then re-drive its wave.
+
+        The instance rebuilds at its table version.  If the current
+        version's wave gave up on it while it was down (FAILED after
+        retrying into ``ObjectDeactivated``), no other path delivers
+        that version to it again, so the delivery is re-opened and
+        driven in a process of its own.
+        """
+        binding = yield from super().recover_instance(loid, host_name)
+        tracker = self.state.propagations.get(self.state.current_version)
+        if (
+            tracker is not None
+            and loid in tracker
+            and tracker.delivery(loid).status is DeliveryStatus.FAILED
+            and not tracker.aborting
+        ):
+            self._runtime.sim.spawn(
+                self._redeliver(tracker, loid), name=f"redeliver:{loid}"
+            )
+        return binding
+
+    def _redeliver(self, tracker, loid):
+        """Process body: re-open one FAILED delivery and drive it again."""
+        complete = tracker.complete
+        self._commit("propagation-rearmed", version=tracker.version, loids=[loid])
+        yield from self._deliver(tracker, loid, self.propagation_retry_policy)
+        if complete and self.is_active and not self.deposed and not tracker.aborting:
+            self._commit("propagation-complete", version=tracker.version)
 
     # ------------------------------------------------------------------
     # Evolution (§2.4, §3.3)
@@ -828,7 +789,7 @@ class DCDOManager(ClassObject):
                     f"instance {loid} is deactivated; it will rebuild at its "
                     f"version on next activation"
                 )
-            from_version = self._instance_versions.get(loid)
+            from_version = self.state.instance_versions.get(loid)
             if target_version is None:
                 target_version = self.evolution_policy.default_target(self, from_version)
                 if target_version is None:
@@ -867,8 +828,7 @@ class DCDOManager(ClassObject):
                 (diff,),
                 timeout_schedule=(60.0, 120.0, 600.0),
             )
-            self._instance_versions[loid] = target_version
-            self._journal_append("instance-version", loid=loid, version=target_version)
+            self._commit("instance-version", loid=loid, version=target_version)
             if record.active:
                 record.version_tag = str(target_version)
             self.evolutions_performed += 1
@@ -881,7 +841,7 @@ class DCDOManager(ClassObject):
         try:
             result = yield from self.evolve_instance(loid, target_version)
         except EvolutionDisallowed:
-            result = self._instance_versions.get(loid)
+            result = self.state.instance_versions.get(loid)
         return result
 
     def update_all_instances(self, target_version=None, window=None):
@@ -950,35 +910,29 @@ class DCDOManager(ClassObject):
             )
         if loids is None:
             loids = self.instance_loids()
-        tracker = self._propagations.get(version)
+        tracker = self.state.propagations.get(version)
         if tracker is None:
-            wave = wave_policy or self.wave_policy
-            prior_versions = {
-                loid: self._instance_versions.get(loid) for loid in loids
-            }
-            tracker = PropagationTracker(
-                version, loids, prior_versions=prior_versions, wave_policy=wave
-            )
-            tracker.started_at = self._runtime.sim.now
-            self._propagations[version] = tracker
-            self._journal_append(
+            instance_versions = self.state.instance_versions
+            self._commit(
                 "propagation-started",
                 version=version,
                 loids=list(loids),
-                prior_versions=prior_versions,
-                wave_policy=wave,
+                prior_versions={loid: instance_versions.get(loid) for loid in loids},
+                wave_policy=wave_policy or self.wave_policy,
             )
+            tracker = self.state.propagations[version]
+            tracker.started_at = self._runtime.sim.now
         elif tracker.aborting and not tracker.aborted:
             # A crash interrupted the abort: finish the rollback; do
             # not deliver anything new.
             yield from self._finish_abort(tracker)
             return tracker
         else:
-            tracker.rearm(loids)
-            for loid in loids:
-                tracker.prior_versions.setdefault(
-                    loid, self._instance_versions.get(loid)
-                )
+            # Re-arm: admit the new instances and re-open every failed
+            # or rolled-back delivery.
+            reopen = [loid for loid in loids if loid not in tracker]
+            reopen += tracker.loids_in(DeliveryStatus.FAILED, DeliveryStatus.ROLLED_BACK)
+            self._commit("propagation-rearmed", version=version, loids=reopen)
         policy = retry_policy or self.propagation_retry_policy
         window = window or self.fanout_window
         if self._relay_directory:
@@ -1015,9 +969,8 @@ class DCDOManager(ClassObject):
                 # incomplete; recovery/resume finishes it.
                 return tracker
             raise WaveAborted(version, failed, wave.abort_threshold)
-        tracker.complete = True
+        self._commit("propagation-complete", version=version)
         tracker.completed_at = self._runtime.sim.now
-        self._journal_append("propagation-complete", version=version)
         self._runtime.trace("propagation-complete", self.loid, **tracker.summary())
         self._runtime.network.publish(
             "wave.complete",
@@ -1128,11 +1081,7 @@ class DCDOManager(ClassObject):
                 record = self.record(loid)
             except UnknownObject as error:
                 # Deleted instance: terminal, exactly as direct delivery.
-                tracker.fail(loid, error)
-                self._journal_append(
-                    "propagation-failed", version=version, loid=loid
-                )
-                self._count("propagation.deliveries_failed")
+                self._fail_delivery(tracker, loid, error)
                 continue
             if not record.active or not record.host.is_up:
                 continue
@@ -1157,15 +1106,11 @@ class DCDOManager(ClassObject):
             host_jobs = {}
             diff_cache = {}
             for loid, host_name in batchable:
-                from_version = self._instance_versions.get(loid)
+                from_version = self.state.instance_versions.get(loid)
                 if from_version == version:
                     # Already there (re-armed wave): ack without an RPC,
                     # matching evolve_instance's early return.
-                    tracker.ack(loid, sim.now)
-                    self._journal_append(
-                        "propagation-ack", version=version, loid=loid
-                    )
-                    self._count("propagation.acks")
+                    self._ack_delivery(tracker, loid)
                     continue
                 try:
                     self.evolution_policy.check_transition(
@@ -1343,11 +1288,7 @@ class DCDOManager(ClassObject):
                     self._fence(value)
                     return
                 elif isinstance(value, UnknownObject):
-                    tracker.fail(loid, value)
-                    self._journal_append(
-                        "propagation-failed", version=version, loid=loid
-                    )
-                    self._count("propagation.deliveries_failed")
+                    self._fail_delivery(tracker, loid, value)
                 else:
                     tracker.delivery(loid).last_error = value
                     continue
@@ -1375,14 +1316,13 @@ class DCDOManager(ClassObject):
         instances the wave never admitted.
         """
         version = tracker.version
-        targeted = {delivery.loid for delivery in tracker.deliveries()}
         for loid in self.instance_loids():
-            if loid in targeted:
+            if loid in tracker:
                 continue
             record = self._instances.get(loid)
             if record is None or not record.active:
                 continue
-            if self._instance_versions.get(loid) == version:
+            if self.state.instance_versions.get(loid) == version:
                 continue
             return False
         return True
@@ -1425,7 +1365,7 @@ class DCDOManager(ClassObject):
         # earlier in the wave, or current before it started) on any
         # roster host — so both belong in the expected aggregate.
         expected = [loid for jobs in remaining.values() for loid, __ in jobs]
-        for loid, current in self._instance_versions.items():
+        for loid, current in self.state.instance_versions.items():
             if current != version:
                 continue
             record = self._instances.get(loid)
@@ -1477,11 +1417,7 @@ class DCDOManager(ClassObject):
             if jobs is None or all(l != loid for l, __ in jobs):
                 continue
             if isinstance(value, UnknownObject):
-                tracker.fail(loid, value)
-                self._journal_append(
-                    "propagation-failed", version=version, loid=loid
-                )
-                self._count("propagation.deliveries_failed")
+                self._fail_delivery(tracker, loid, value)
                 remaining[host] = [job for job in jobs if job[0] != loid]
                 if not remaining[host]:
                     del remaining[host]
@@ -1558,7 +1494,7 @@ class DCDOManager(ClassObject):
         # shows up in a relay's applied set (counted without an RPC),
         # so they belong in the expected digest.
         acked_by_host = {}
-        for loid, current in self._instance_versions.items():
+        for loid, current in self.state.instance_versions.items():
             if current != version:
                 continue
             record = self._instances.get(loid)
@@ -1579,11 +1515,7 @@ class DCDOManager(ClassObject):
                 if all(l != loid for l, __ in jobs):
                     continue
                 if isinstance(value, UnknownObject):
-                    tracker.fail(loid, value)
-                    self._journal_append(
-                        "propagation-failed", version=version, loid=loid
-                    )
-                    self._count("propagation.deliveries_failed")
+                    self._fail_delivery(tracker, loid, value)
                     jobs = remaining[host] = [
                         job for job in jobs if job[0] != loid
                     ]
@@ -1610,15 +1542,22 @@ class DCDOManager(ClassObject):
         Mirrors the bookkeeping (and journal-entry order) of the
         direct path: instance-version first, then the propagation ack.
         """
-        self._instance_versions[loid] = version
-        self._journal_append("instance-version", loid=loid, version=version)
+        self._commit("instance-version", loid=loid, version=version)
         record = self._instances.get(loid)
         if record is not None and record.active:
             record.version_tag = str(version)
         self.evolutions_performed += 1
-        tracker.ack(loid, self._runtime.sim.now)
-        self._journal_append("propagation-ack", version=version, loid=loid)
+        self._ack_delivery(tracker, loid)
+
+    def _ack_delivery(self, tracker, loid):
+        self._commit("propagation-ack", version=tracker.version, loid=loid)
+        tracker.delivery(loid).acked_at = self._runtime.sim.now
         self._count("propagation.acks")
+
+    def _fail_delivery(self, tracker, loid, error):
+        self._commit("propagation-failed", version=tracker.version, loid=loid)
+        tracker.delivery(loid).last_error = error
+        self._count("propagation.deliveries_failed")
 
     def _finish_abort(self, tracker):
         """Generator: drive an aborting wave to the ABORTED state.
@@ -1632,8 +1571,7 @@ class DCDOManager(ClassObject):
         """
         sim = self._runtime.sim
         if not tracker.aborting:
-            tracker.aborting = True
-            self._journal_append("wave-aborting", version=tracker.version)
+            self._commit("wave-aborting", version=tracker.version)
             self._count("wave.aborts")
             self._runtime.trace(
                 "wave-aborting",
@@ -1662,8 +1600,7 @@ class DCDOManager(ClassObject):
                     # Leave it ACKED: the wave stays ABORTING and a
                     # later resume retries this rollback.
                     continue
-            tracker.roll_back(delivery.loid)
-            self._journal_append(
+            self._commit(
                 "wave-rollback", version=tracker.version, loid=delivery.loid
             )
             self._count("wave.rollbacks")
@@ -1672,20 +1609,16 @@ class DCDOManager(ClassObject):
             for delivery in tracker.deliveries()
         ):
             return
-        state = self._canaries.get(tracker.version)
-        if state is not None:
-            settled = yield from self._reconcile_canary_abort(state, tracker)
+        canary = self.state.canaries.get(tracker.version)
+        if canary is not None:
+            settled = yield from self._reconcile_canary_abort(canary, tracker)
             if not settled or not self.is_active:
                 return
-        tracker.aborted = True
-        tracker.complete = True
+        self._commit("wave-aborted", version=tracker.version)
         tracker.completed_at = sim.now
-        self._journal_append("wave-aborted", version=tracker.version)
-        if state is not None:
-            state.aborted = True
         self._runtime.trace("wave-aborted", self.loid, **tracker.summary())
 
-    def _reconcile_canary_abort(self, state, tracker):
+    def _reconcile_canary_abort(self, canary, tracker):
         """Generator: verify admitted instances really left the version.
 
         A promoted authority's replica journal can be missing the old
@@ -1699,20 +1632,17 @@ class DCDOManager(ClassObject):
         reachable admitted instance is off it; False means stay
         ABORTING and let a later resume retry.
         """
-        prior = self._current_version
+        prior = self.state.current_version
         settled = True
-        for loid in list(state.admitted):
+        for loid in list(canary.admitted):
             if not self.is_active:
                 return False
-            if tracker is not None:
-                delivery = next(
-                    (d for d in tracker.deliveries() if d.loid == loid), None
-                )
-                if (
-                    delivery is not None
-                    and delivery.status is DeliveryStatus.ROLLED_BACK
-                ):
-                    continue  # this manager rolled it back itself
+            if (
+                tracker is not None
+                and loid in tracker
+                and tracker.delivery(loid).status is DeliveryStatus.ROLLED_BACK
+            ):
+                continue  # this manager rolled it back itself
             try:
                 record = self.record(loid)
             except UnknownObject:
@@ -1729,15 +1659,12 @@ class DCDOManager(ClassObject):
                     return False
                 settled = False
                 continue
-            if reported != str(state.version):
+            if reported != str(canary.version):
                 continue
             # The old primary's delivery landed but its ack never
             # shipped: adopt the fact, then undo it.
-            if self._instance_versions.get(loid) != state.version:
-                self._instance_versions[loid] = state.version
-                self._journal_append(
-                    "instance-version", loid=loid, version=state.version
-                )
+            if self.state.instance_versions.get(loid) != canary.version:
+                self._commit("instance-version", loid=loid, version=canary.version)
             try:
                 yield from self.evolve_instance(
                     loid, prior, enforce_policy=False
@@ -1775,11 +1702,7 @@ class DCDOManager(ClassObject):
                 yield from self.evolve_instance(loid, tracker.version)
             except UnknownObject as error:
                 # Deleted instance: it can never converge; no retry.
-                tracker.fail(loid, error)
-                self._journal_append(
-                    "propagation-failed", version=tracker.version, loid=loid
-                )
-                self._count("propagation.deliveries_failed")
+                self._fail_delivery(tracker, loid, error)
                 return False
             except (LegionError, TransportError, RuntimeError) as error:
                 if isinstance(error, StaleManagerTerm):
@@ -1795,20 +1718,12 @@ class DCDOManager(ClassObject):
                 if not self.is_active:
                     return False
                 if not policy.should_retry(attempts, started, sim.now):
-                    tracker.fail(loid, error)
-                    self._journal_append(
-                        "propagation-failed", version=tracker.version, loid=loid
-                    )
-                    self._count("propagation.deliveries_failed")
+                    self._fail_delivery(tracker, loid, error)
                     return False
                 self._count("propagation.retries")
                 yield sim.timeout(policy.backoff_s(attempts))
                 continue
-            tracker.ack(loid, sim.now)
-            self._journal_append(
-                "propagation-ack", version=tracker.version, loid=loid
-            )
-            self._count("propagation.acks")
+            self._ack_delivery(tracker, loid)
             if tracker.aborting or tracker.aborted:
                 # The breach-abort raced this delivery's final RPC:
                 # the instance just applied a version the wave has
@@ -1820,11 +1735,11 @@ class DCDOManager(ClassObject):
 
     def propagation(self, version):
         """The :class:`PropagationTracker` for ``version``, or None."""
-        return self._propagations.get(version)
+        return self.state.propagations.get(version)
 
     def propagation_status(self):
         """Summaries of every propagation, newest last."""
-        return [tracker.summary() for tracker in self._propagations.values()]
+        return [tracker.summary() for tracker in self.state.propagations.values()]
 
     def resume_propagations(self, retry_policy=None):
         """Generator: finish propagations a crash interrupted.
@@ -1845,17 +1760,17 @@ class DCDOManager(ClassObject):
         driven here even if the crash landed between the breach
         decision and the wave-aborting entry.
         """
-        for version in list(self._propagations):
-            tracker = self._propagations[version]
-            state = self._canaries.get(version)
-            if state is not None and state.breached and not tracker.aborted:
+        for version in list(self.state.propagations):
+            tracker = self.state.propagations[version]
+            canary = self.state.canaries.get(version)
+            if canary is not None and canary.breached and not tracker.aborted:
                 yield from self._finish_abort(tracker)
                 continue
             if tracker.complete:
                 continue
             loids = None
-            if state is not None and not state.closed:
-                loids = list(state.admitted)
+            if canary is not None and not canary.closed:
+                loids = list(canary.admitted)
             try:
                 yield from self.propagate_version(
                     version, loids=loids, retry_policy=retry_policy
@@ -1864,13 +1779,13 @@ class DCDOManager(ClassObject):
                 continue
         # Breached canaries whose wave tracker never reached this
         # journal (a promotion raced the shipping) still need closing.
-        for version, state in list(self._canaries.items()):
-            if state.closed or not state.breached:
+        for version, canary in list(self.state.canaries.items()):
+            if canary.closed or not canary.breached:
                 continue
-            if version in self._propagations:
+            if version in self.state.propagations:
                 continue
             yield from self.abort_wave(
-                version, state.breach_reason or "slo-breach"
+                version, canary.breach_reason or "slo-breach"
             )
 
     # ------------------------------------------------------------------
@@ -1890,13 +1805,8 @@ class DCDOManager(ClassObject):
             raise VersionNotInstantiable(
                 f"cannot canary configurable version {version}"
             )
-        state = self._canaries.get(version)
-        if state is None:
-            state = CanaryState(
-                version=version, stages=tuple(stages), bake_s=bake_s
-            )
-            self._canaries[version] = state
-            self._journal_append(
+        if version not in self.state.canaries:
+            self._commit(
                 "canary-started",
                 version=version,
                 stages=tuple(stages),
@@ -1909,15 +1819,15 @@ class DCDOManager(ClassObject):
                 version=str(version),
                 stages=list(stages),
             )
-        return state
+        return self.state.canaries[version]
 
     def canary_state(self, version):
         """The :class:`CanaryState` for ``version``, or None."""
-        return self._canaries.get(version)
+        return self.state.canaries.get(version)
 
     def canary_status(self):
         """Summaries of every canary rollout, oldest first."""
-        return [state.summary() for state in self._canaries.values()]
+        return [canary.summary() for canary in self.state.canaries.values()]
 
     def canary_frozen_loids(self):
         """Instances admitted to any still-open canary rollout.
@@ -1928,27 +1838,26 @@ class DCDOManager(ClassObject):
         would silently undo the experiment the gate is judging.
         """
         frozen = set()
-        for state in self._canaries.values():
-            if not state.closed:
-                frozen.update(state.admitted)
+        for canary in self.state.canaries.values():
+            if not canary.closed:
+                frozen.update(canary.admitted)
         return frozen
 
     def admit_canary_stage(self, version, loids):
         """Admit ``loids`` to the canary wave (journaled); returns the
         newly admitted subset (already-admitted instances are skipped)."""
-        state = self._require_canary(version)
-        if state.closed:
-            raise WaveAborted(version, 0, 0) if state.aborted else ValueError(
+        canary = self._require_canary(version)
+        if canary.closed:
+            raise WaveAborted(version, 0, 0) if canary.aborted else ValueError(
                 f"canary for {version} already completed"
             )
-        known = set(state.admitted)
+        known = set(canary.admitted)
         fresh = [loid for loid in loids if loid not in known]
         if fresh:
-            state.admitted.extend(fresh)
-            self._journal_append(
+            self._commit(
                 "canary-stage",
                 version=version,
-                stage=state.stage_index,
+                stage=canary.stage_index,
                 loids=list(fresh),
             )
             self._count("canary.admitted", len(fresh))
@@ -1956,20 +1865,17 @@ class DCDOManager(ClassObject):
 
     def record_canary_gate(self, version):
         """Mark the current stage's health gate passed (journaled)."""
-        state = self._require_canary(version)
-        state.stage_index += 1
-        self._journal_append(
-            "canary-gate", version=version, stage=state.stage_index
-        )
+        canary = self._require_canary(version)
+        self._commit("canary-gate", version=version, stage=canary.stage_index + 1)
         self._count("canary.gates_passed")
         self._runtime.trace(
             "canary-gate",
             self.loid,
             version=str(version),
-            stage=state.stage_index,
-            admitted=len(state.admitted),
+            stage=canary.stage_index,
+            admitted=len(canary.admitted),
         )
-        return state.stage_index
+        return canary.stage_index
 
     def mark_canary_breached(self, version, reason):
         """Journal the breach decision; idempotent.
@@ -1979,21 +1885,19 @@ class DCDOManager(ClassObject):
         promoted manager reads as "this wave must die", never as "this
         wave should resume delivering".
         """
-        state = self._require_canary(version)
-        if state.breached:
-            return state
-        state.breached = True
-        state.breach_reason = reason
-        self._journal_append("canary-breached", version=version, reason=reason)
+        canary = self._require_canary(version)
+        if canary.breached:
+            return canary
+        self._commit("canary-breached", version=version, reason=reason)
         self._count("canary.breaches")
         self._runtime.trace(
             "canary-breached",
             self.loid,
             version=str(version),
             reason=reason,
-            admitted=len(state.admitted),
+            admitted=len(canary.admitted),
         )
-        return state
+        return canary
 
     def abort_wave(self, version, reason="slo-breach"):
         """Generator: breach-abort an open wave and roll everyone back.
@@ -2005,28 +1909,28 @@ class DCDOManager(ClassObject):
         back to its prior version, write-ahead logged, resumable by a
         recovered or promoted manager.  Returns the tracker.
         """
-        tracker = self._propagations.get(version)
-        state = self._canaries.get(version)
-        if state is not None:
+        tracker = self.state.propagations.get(version)
+        canary = self.state.canaries.get(version)
+        if canary is not None:
             self.mark_canary_breached(version, reason)
         if tracker is None:
             # A promoted authority can inherit the canary record but
             # not its wave (the journal shipped the admission and then
             # the partition hit).  Reconcile straight from the admitted
             # set and close the canary with its own journal entry.
-            if state is not None and not state.aborted:
-                settled = yield from self._reconcile_canary_abort(state, None)
+            if canary is not None and not canary.aborted:
+                settled = yield from self._reconcile_canary_abort(canary, None)
                 if settled and self.is_active and not self.deposed:
-                    state.aborted = True
-                    self._journal_append("canary-aborted", version=version)
+                    self._commit("canary-aborted", version=version)
                     self._runtime.trace(
                         "canary-aborted", self.loid, version=str(version)
                     )
             return None
         if not tracker.aborted:
             yield from self._finish_abort(tracker)
-        if state is not None and tracker.aborted and not state.aborted:
-            state.aborted = True
+        if canary is not None and tracker.aborted and not canary.aborted:
+            # The wave aborted before this canary opened: close it too.
+            self._commit("canary-aborted", version=version)
         return tracker
 
     def complete_canary(self, version):
@@ -2036,28 +1940,26 @@ class DCDOManager(ClassObject):
         policy is *not* fired again — the current-version designation
         simply catches up with reality (new instances start on it).
         """
-        state = self._require_canary(version)
-        if state.breached:
+        canary = self._require_canary(version)
+        if canary.breached:
             raise WaveAborted(version, 0, 0)
-        if not state.complete:
-            state.complete = True
-            self._journal_append("canary-complete", version=version)
-            self._current_version = version
-            self._journal_append("current-version", version=version)
+        if not canary.complete:
+            self._commit("canary-complete", version=version)
+            self._commit("current-version", version=version)
             self._count("canary.completions")
             self._runtime.trace(
                 "canary-complete",
                 self.loid,
                 version=str(version),
-                admitted=len(state.admitted),
+                admitted=len(canary.admitted),
             )
-        return state
+        return canary
 
     def _require_canary(self, version):
-        state = self._canaries.get(version)
-        if state is None:
+        canary = self.state.canaries.get(version)
+        if canary is None:
             raise UnknownVersion(f"no canary rollout open for version {version}")
-        return state
+        return canary
 
     # ------------------------------------------------------------------
     # Remediation lease and intents (self-healing controller)
@@ -2077,46 +1979,40 @@ class DCDOManager(ClassObject):
         if self.deposed or not self.is_active:
             return False
         now = self._runtime.sim.now
-        lease = self._remediation_lease
+        lease = self.state.remediation_lease
         if (
             lease is not None
             and lease["owner"] != owner
             and lease["expires_at"] > now
-            and lease["term"] == self._term
+            and lease["term"] == self.state.term
         ):
             return False
-        self._remediation_lease = {
-            "owner": owner,
-            "term": self._term,
-            "expires_at": now + ttl_s,
-        }
-        self._journal_append(
+        self._commit(
             "remediation-lease",
             owner=owner,
-            term=self._term,
+            term=self.state.term,
             expires_at=now + ttl_s,
         )
         return True
 
     def holds_remediation_lease(self, owner):
         """True while ``owner``'s lease is live under the current term."""
-        lease = self._remediation_lease
+        lease = self.state.remediation_lease
         return (
             not self.deposed
             and self.is_active
             and lease is not None
             and lease["owner"] == owner
-            and lease["term"] == self._term
+            and lease["term"] == self.state.term
             and lease["expires_at"] > self._runtime.sim.now
         )
 
     def release_remediation_lease(self, owner):
         """Drop the lease if ``owner`` holds it (journaled as expiry)."""
-        lease = self._remediation_lease
+        lease = self.state.remediation_lease
         if lease is not None and lease["owner"] == owner:
-            self._remediation_lease = None
-            self._journal_append(
-                "remediation-lease", owner=owner, term=self._term, expires_at=0.0
+            self._commit(
+                "remediation-lease", owner=owner, term=self.state.term, expires_at=0.0
             )
 
     def begin_remediation(self, intent_id, action, target, **params):
@@ -2127,42 +2023,28 @@ class DCDOManager(ClassObject):
         were in flight — :meth:`gc_remediations` then closes the ones
         whose lease term the promotion outran.
         """
-        if intent_id in self._remediations:
-            return self._remediations[intent_id]
-        record = {
-            "intent_id": intent_id,
-            "action": action,
-            "target": target,
-            "params": dict(params),
-            "term": self._term,
-            "opened_at": self._runtime.sim.now,
-            "outcome": None,
-        }
-        self._remediations[intent_id] = record
-        self._journal_append(
-            "remediation-intent",
-            intent_id=intent_id,
-            action=action,
-            target=target,
-            params=dict(params),
-            term=self._term,
-        )
-        self._count("remediation.intents")
-        self._runtime.trace(
-            "remediation-started", self.loid, intent=intent_id, action=action,
-            target=str(target),
-        )
-        return record
+        if intent_id not in self.state.remediations:
+            self._commit(
+                "remediation-intent",
+                intent_id=intent_id,
+                action=action,
+                target=target,
+                params=dict(params),
+                term=self.state.term,
+            )
+            self._count("remediation.intents")
+            self._runtime.trace(
+                "remediation-started", self.loid, intent=intent_id, action=action,
+                target=str(target),
+            )
+        return self.state.remediations[intent_id]
 
     def complete_remediation(self, intent_id, outcome="done"):
         """Close an intent (journaled); unknown ids are ignored."""
-        record = self._remediations.get(intent_id)
+        record = self.state.remediations.get(intent_id)
         if record is None or record["outcome"] is not None:
             return record
-        record["outcome"] = outcome
-        self._journal_append(
-            "remediation-closed", intent_id=intent_id, outcome=outcome
-        )
+        self._commit("remediation-closed", intent_id=intent_id, outcome=outcome)
         self._count(f"remediation.{outcome}")
         self._runtime.trace(
             "remediation-closed", self.loid, intent=intent_id, outcome=outcome
@@ -2173,7 +2055,7 @@ class DCDOManager(ClassObject):
         """Intent records not yet closed, oldest first."""
         return [
             record
-            for record in self._remediations.values()
+            for record in self.state.remediations.values()
             if record["outcome"] is None
         ]
 
@@ -2189,19 +2071,19 @@ class DCDOManager(ClassObject):
         """
         orphaned = []
         for record in self.open_remediations():
-            if record["term"] < self._term:
+            if record["term"] < self.state.term:
                 self.complete_remediation(record["intent_id"], outcome="orphaned")
                 orphaned.append(record)
         return orphaned
 
     def remediation_status(self):
         """Plain-dict view of lease + intents, for reports."""
-        lease = self._remediation_lease
+        lease = self.state.remediation_lease
         open_intents = self.open_remediations()
         return {
             "lease": dict(lease) if lease is not None else None,
             "open": [record["intent_id"] for record in open_intents],
-            "total": len(self._remediations),
+            "total": len(self.state.remediations),
         }
 
     def restore_components(self):
@@ -2217,8 +2099,8 @@ class DCDOManager(ClassObject):
         having crashed.  Returns the restored component ids.
         """
         restored = []
-        for component_id in sorted(self._components):
-            component, ico_loid = self._components[component_id]
+        for component_id in sorted(self.state.components):
+            component, ico_loid, __ = self.state.components[component_id]
             obj = self._runtime.live_object(ico_loid)
             if obj is not None and obj.is_active:
                 continue
@@ -2232,152 +2114,29 @@ class DCDOManager(ClassObject):
         return restored
 
     # ------------------------------------------------------------------
-    # Journal replay (crash recovery)
+    # Journal replay (crash recovery) and checkpoints
     # ------------------------------------------------------------------
 
     def restore_from_journal(self, journal):
-        """Generator: rebuild durable state by replaying ``journal``.
+        """Generator: rebuild state by replaying ``journal``.
 
         Called on a *fresh* manager object before activation (see
-        :func:`~repro.core.recovery.recover_manager`).  Live instance
-        objects and ICOs are re-linked from the runtime where they
-        survived; ICOs whose host died are re-created here.
+        :func:`~repro.core.recovery.recover_manager`).  Every entry,
+        checkpoint rows included, goes through the same
+        :func:`~repro.core.manager_state.apply` the live path uses.
+        Then the runtime links are rebuilt in one step: ICOs whose host
+        died are served again, live instance objects are re-linked, and
+        implementation types are read off the instances still alive.
         """
         for entry in journal.replay():
-            yield from self._restore_entry(entry)
-        # Implementation types are derived state: recompute from the
-        # instances that are still alive.
-        for record in self._instances.values():
-            if record.obj is not None:
-                self._instance_impl_types[record.loid] = (
-                    record.obj.implementation_type
-                )
-
-    def _restore_entry(self, entry):
-        kind, data = entry.kind, entry.data
-        if kind == "component":
-            yield from self._restore_component(
-                data["component"], data["ico_loid"], data.get("host_name")
-            )
-        elif kind == "version-created":
-            self._version_tree.restore(data["version"])
-            # No descriptor: a configurable version's edits died with
-            # the manager's memory.  The id is reserved; the contents
-            # must be re-derived by the operator.
-        elif kind == "version-instantiable":
-            version = data["version"]
-            self._version_tree.restore(version)
-            self._dfm_store[version] = VersionRecord(
-                version=version,
-                descriptor=data["descriptor"].clone(),
-                instantiable=True,
-                parent=data.get("parent"),
-            )
-        elif kind == "term":
-            self._term = max(self._term, data["number"])
-        elif kind == "current-version":
-            self._current_version = data["version"]
-        elif kind == "instance":
-            self._restore_instance(data["loid"], data.get("host_name"))
-        elif kind == "instance-version":
-            self._instance_versions[data["loid"]] = data["version"]
-        elif kind == "range-released":
-            lo, hi = data["span"]
-            for loid in list(self._instances):
-                if lo <= partition_slot(loid) < hi:
-                    del self._instances[loid]
-                    self._instance_versions.pop(loid, None)
-                    self._instance_impl_types.pop(loid, None)
-            self._released_spans.append((lo, hi))
-        elif kind == "rows-pruned":
-            for loid in data["loids"]:
-                self._instances.pop(loid, None)
-                self._instance_versions.pop(loid, None)
-                self._instance_impl_types.pop(loid, None)
-        elif kind == "propagation-started":
-            tracker = PropagationTracker(
-                data["version"],
-                data["loids"],
-                prior_versions=data.get("prior_versions"),
-                wave_policy=data.get("wave_policy"),
-            )
-            self._propagations[data["version"]] = tracker
-        elif kind == "propagation-ack":
-            self._propagations[data["version"]].ack(data["loid"])
-        elif kind == "propagation-failed":
-            self._propagations[data["version"]].fail(data["loid"])
-        elif kind == "propagation-complete":
-            self._propagations[data["version"]].complete = True
-        elif kind == "wave-aborting":
-            self._propagations[data["version"]].aborting = True
-        elif kind == "wave-rollback":
-            self._propagations[data["version"]].roll_back(data["loid"])
-        elif kind == "wave-aborted":
-            tracker = self._propagations[data["version"]]
-            tracker.aborting = True
-            tracker.aborted = True
-            tracker.complete = True
-            state = self._canaries.get(data["version"])
-            if state is not None:
-                state.aborted = True
-        elif kind == "canary-started":
-            version = data["version"]
-            if version not in self._canaries:
-                self._canaries[version] = CanaryState(
-                    version=version,
-                    stages=tuple(data["stages"]),
-                    bake_s=data["bake_s"],
-                )
-        elif kind == "canary-stage":
-            state = self._canaries[data["version"]]
-            known = set(state.admitted)
-            state.admitted.extend(
-                loid for loid in data["loids"] if loid not in known
-            )
-        elif kind == "canary-gate":
-            self._canaries[data["version"]].stage_index = data["stage"]
-        elif kind == "canary-breached":
-            state = self._canaries[data["version"]]
-            state.breached = True
-            state.breach_reason = data.get("reason")
-        elif kind == "canary-complete":
-            self._canaries[data["version"]].complete = True
-        elif kind == "canary-aborted":
-            self._canaries[data["version"]].aborted = True
-        elif kind == "remediation-lease":
-            if data["expires_at"] <= 0.0:
-                self._remediation_lease = None
-            else:
-                self._remediation_lease = {
-                    "owner": data["owner"],
-                    "term": data["term"],
-                    "expires_at": data["expires_at"],
-                }
-        elif kind == "remediation-intent":
-            self._remediations.setdefault(
-                data["intent_id"],
-                {
-                    "intent_id": data["intent_id"],
-                    "action": data["action"],
-                    "target": data["target"],
-                    "params": dict(data.get("params") or {}),
-                    "term": data["term"],
-                    "opened_at": None,
-                    "outcome": None,
-                },
-            )
-        elif kind == "remediation-closed":
-            record = self._remediations.get(data["intent_id"])
-            if record is not None:
-                record["outcome"] = data["outcome"]
-        else:
-            raise ValueError(f"unknown journal entry kind {kind!r}")
-        return
-        yield  # pragma: no cover - uniform generator shape
+            apply(self.state, entry)
+        for component, ico_loid, host_name in list(self.state.components.values()):
+            yield from self._restore_component(component, ico_loid, host_name)
+        for loid, host_name in self.state.instances.items():
+            self._restore_instance(loid, host_name)
 
     def _restore_component(self, component, ico_loid, host_name):
         """Re-link (or re-create) the ICO serving ``component``."""
-        self._components[component.component_id] = (component, ico_loid)
         obj = self._runtime.live_object(ico_loid)
         if obj is not None and obj.is_active:
             return
@@ -2409,6 +2168,7 @@ class DCDOManager(ClassObject):
         )
         if obj is not None:
             host = obj.host
+            self._instance_impl_types[loid] = obj.implementation_type
         process = host.process_for(loid) if host.is_up else None
         active = obj is not None and obj.is_active and process is not None
         self._instances[loid] = InstanceRecord(
@@ -2421,184 +2181,19 @@ class DCDOManager(ClassObject):
         )
 
     def write_checkpoint(self):
-        """Compact the journal: snapshot state, truncate the tail.
+        """Compact the journal: replace it with a snapshot of the state.
 
-        The checkpoint is expressed as an equivalent minimal entry
-        list, so replay needs no second code path.
+        The snapshot is :func:`~repro.core.manager_state.checkpoint_rows`
+        — one entry per row of state — so its length, and the replay
+        cost charged for it, scale with the state it holds.  Returns
+        the number of rows.
         """
         if self._journal is None:
             raise ValueError("no journal attached")
-        from repro.core.recovery import JournalEntry
-
-        entries = []
-        # The term leads the checkpoint: replay must outrank any older
-        # primary before acting on anything else.
-        entries.append(JournalEntry("term", {"number": self._term}))
-        for component_id in sorted(self._components):
-            component, ico_loid = self._components[component_id]
-            ico = self._runtime.live_object(ico_loid)
-            entries.append(
-                JournalEntry(
-                    "component",
-                    {
-                        "component": component,
-                        "ico_loid": ico_loid,
-                        "host_name": ico.host.name if ico is not None else None,
-                    },
-                )
-            )
-        for version in sorted(
-            self._version_tree.known_versions, key=lambda v: v.parts
-        ):
-            record = self._dfm_store.get(version)
-            if record is not None and record.instantiable:
-                entries.append(
-                    JournalEntry(
-                        "version-instantiable",
-                        {
-                            "version": version,
-                            "parent": record.parent,
-                            "descriptor": record.descriptor.clone(),
-                        },
-                    )
-                )
-            else:
-                entries.append(
-                    JournalEntry(
-                        "version-created",
-                        {"version": version, "parent": version.parent},
-                    )
-                )
-        if self._current_version is not None:
-            entries.append(
-                JournalEntry("current-version", {"version": self._current_version})
-            )
-        for loid, record in self._instances.items():
-            entries.append(
-                JournalEntry(
-                    "instance", {"loid": loid, "host_name": record.host.name}
-                )
-            )
-            version = self._instance_versions.get(loid)
-            if version is not None:
-                entries.append(
-                    JournalEntry(
-                        "instance-version", {"loid": loid, "version": version}
-                    )
-                )
-        # Canary states precede the trackers so a checkpointed
-        # "wave-aborted" replay finds (and closes) the canary it ended.
-        for version, state in self._canaries.items():
-            entries.append(
-                JournalEntry(
-                    "canary-started",
-                    {
-                        "version": version,
-                        "stages": tuple(state.stages),
-                        "bake_s": state.bake_s,
-                    },
-                )
-            )
-            if state.admitted:
-                entries.append(
-                    JournalEntry(
-                        "canary-stage",
-                        {
-                            "version": version,
-                            "stage": state.stage_index,
-                            "loids": list(state.admitted),
-                        },
-                    )
-                )
-            if state.stage_index:
-                entries.append(
-                    JournalEntry(
-                        "canary-gate",
-                        {"version": version, "stage": state.stage_index},
-                    )
-                )
-            if state.breached:
-                entries.append(
-                    JournalEntry(
-                        "canary-breached",
-                        {"version": version, "reason": state.breach_reason},
-                    )
-                )
-            if state.complete:
-                entries.append(
-                    JournalEntry("canary-complete", {"version": version})
-                )
-            if state.aborted and version not in self._propagations:
-                # Closed without a wave (orphan reconcile): the closure
-                # has no "wave-aborted" entry to replay.
-                entries.append(
-                    JournalEntry("canary-aborted", {"version": version})
-                )
-        for version, tracker in self._propagations.items():
-            loids = [entry.loid for entry in tracker.deliveries()]
-            entries.append(
-                JournalEntry(
-                    "propagation-started",
-                    {
-                        "version": version,
-                        "loids": loids,
-                        "prior_versions": dict(tracker.prior_versions),
-                        "wave_policy": tracker.wave_policy,
-                    },
-                )
-            )
-            if tracker.aborting:
-                entries.append(JournalEntry("wave-aborting", {"version": version}))
-            for delivery in tracker.deliveries():
-                if delivery.status is DeliveryStatus.ACKED:
-                    entries.append(
-                        JournalEntry(
-                            "propagation-ack",
-                            {"version": version, "loid": delivery.loid},
-                        )
-                    )
-                elif delivery.status is DeliveryStatus.FAILED:
-                    entries.append(
-                        JournalEntry(
-                            "propagation-failed",
-                            {"version": version, "loid": delivery.loid},
-                        )
-                    )
-                elif delivery.status is DeliveryStatus.ROLLED_BACK:
-                    entries.append(
-                        JournalEntry(
-                            "wave-rollback",
-                            {"version": version, "loid": delivery.loid},
-                        )
-                    )
-            if tracker.aborted:
-                entries.append(JournalEntry("wave-aborted", {"version": version}))
-            elif tracker.complete:
-                entries.append(
-                    JournalEntry("propagation-complete", {"version": version})
-                )
-        if self._remediation_lease is not None:
-            entries.append(
-                JournalEntry("remediation-lease", dict(self._remediation_lease))
-            )
-        # Only open intents survive a checkpoint: a closed remediation
-        # is pure history, and recovery's job is resume-or-GC.
-        for record in self.open_remediations():
-            entries.append(
-                JournalEntry(
-                    "remediation-intent",
-                    {
-                        "intent_id": record["intent_id"],
-                        "action": record["action"],
-                        "target": record["target"],
-                        "params": dict(record["params"]),
-                        "term": record["term"],
-                    },
-                )
-            )
-        self._journal.write_checkpoint(entries)
+        rows = checkpoint_rows(self.state)
+        self._journal.write_checkpoint(rows)
         self._publish_journal_gauges()
-        return len(entries)
+        return len(rows)
 
     # ------------------------------------------------------------------
     # Exported manager interface
@@ -2621,11 +2216,11 @@ class DCDOManager(ClassObject):
 
     def _m_ping(self, ctx):
         """Liveness probe for the failure detector; returns the term."""
-        return ("pong", self._term)
+        return ("pong", self.state.term)
         yield  # pragma: no cover - uniform generator shape
 
     def _m_get_current_version(self, ctx):
-        return self._current_version
+        return self.state.current_version
         yield  # pragma: no cover - uniform generator shape
 
     def _m_get_versions(self, ctx):
@@ -2661,7 +2256,7 @@ class DCDOManager(ClassObject):
 
     def _m_routed_version(self, ctx, epoch, loid):
         self._shard_guard(epoch, loid)
-        return self._instance_versions.get(loid)
+        return self.state.instance_versions.get(loid)
         yield  # pragma: no cover - uniform generator shape
 
     def _m_get_dcdo_table(self, ctx):

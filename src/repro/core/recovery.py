@@ -9,8 +9,12 @@ divergence.  This module gives it a durability story:
   manager (like a file on the host's disk), so it survives the manager
   object's death.  Every durable decision — component registered,
   version created or frozen, current version set, instance created or
-  evolved, propagation started/acked — is appended before the manager
-  acts on it.
+  evolved, propagation started/re-armed/acked — is one commit: the
+  manager appends the entry here, then applies it to its state with
+  :func:`~repro.core.manager_state.apply`.  Replay runs the same
+  ``apply`` over the same entries, so the journal holds exactly the
+  state the live manager had.  A checkpoint is that state written as
+  one row entry per table row.
 - :class:`PropagationTracker` / :class:`Delivery` — per-instance
   delivery state for the ack-tracked, at-least-once evolution
   propagation protocol.  Acks are journaled, so a recovered manager
@@ -18,9 +22,9 @@ divergence.  This module gives it a durability story:
   the version and never double-applying an update (application is
   idempotent, keyed by version id, on the DCDO side).
 - :func:`recover_manager` — rebuild a crashed manager from its
-  journal: replay, re-link live instances and ICOs, reactivate under a
-  new binding incarnation, swap into the runtime, and resume
-  propagation.
+  journal (or a promoted standby's copy of it): replay, re-link live
+  instances and ICOs, reactivate under a new binding incarnation, swap
+  into the runtime, and resume propagation.
 
 What is deliberately *not* durable: configurable (not-yet-instantiable)
 versions.  Their descriptors are mutable in-memory scratch state; a
@@ -104,6 +108,11 @@ class PropagationTracker:
     up (FAILED).  ``rearm`` re-opens FAILED deliveries and admits newly
     created instances, so calling the propagation again after faults
     heal finishes the job.
+
+    Two trackers are equal when their durable part is: the version,
+    the wave flags, the prior versions, the wave policy and each
+    delivery's status, in admission order.  Timestamps, attempt counts
+    and last errors are runtime annotations and are not compared.
     """
 
     def __init__(self, version, loids=(), prior_versions=None, wave_policy=None):
@@ -140,47 +149,67 @@ class PropagationTracker:
         return list(self._deliveries.values())
 
     def rearm(self, loids=()):
-        """Re-open the propagation: admit ``loids``, retry failures.
+        """Re-open the propagation for ``loids``.
 
-        An aborted wave re-arms like any other: the abort flags clear
-        and rolled-back deliveries re-open, so the operator can retry
-        the whole wave after the fault heals.
+        Admits the ones not yet tracked and re-opens those that FAILED
+        or were ROLLED_BACK; acked deliveries stay acked.  An aborted
+        wave re-arms like any other: the abort flags clear, so the
+        operator can retry the whole wave after the fault heals.
         """
         self.complete = False
         self.completed_at = None
         self.aborting = False
         self.aborted = False
         for loid in loids:
-            self.delivery(loid)
-        for entry in self._deliveries.values():
+            entry = self.delivery(loid)
             if entry.status in (DeliveryStatus.FAILED, DeliveryStatus.ROLLED_BACK):
                 entry.status = DeliveryStatus.PENDING
 
-    def ack(self, loid, now=None):
+    def ack(self, loid):
         """Mark ``loid`` delivered."""
         entry = self.delivery(loid)
         entry.status = DeliveryStatus.ACKED
-        entry.acked_at = now
         entry.last_error = None
 
-    def fail(self, loid, error=None):
+    def fail(self, loid):
         """Mark ``loid`` given up on (until the next rearm)."""
-        entry = self.delivery(loid)
-        entry.status = DeliveryStatus.FAILED
-        entry.last_error = error
+        self.delivery(loid).status = DeliveryStatus.FAILED
 
     def roll_back(self, loid):
         """Mark an acked delivery undone by a wave abort."""
         entry = self.delivery(loid)
         entry.status = DeliveryStatus.ROLLED_BACK
 
-    def pending_loids(self):
-        """LOIDs still awaiting delivery."""
+    def loids_in(self, *statuses):
+        """LOIDs whose delivery is in one of ``statuses``, admission order."""
         return [
             entry.loid
             for entry in self._deliveries.values()
-            if entry.status is DeliveryStatus.PENDING
+            if entry.status in statuses
         ]
+
+    def pending_loids(self):
+        """LOIDs still awaiting delivery."""
+        return self.loids_in(DeliveryStatus.PENDING)
+
+    def __contains__(self, loid):
+        return loid in self._deliveries
+
+    def _durable(self):
+        return (
+            self.version,
+            self.complete,
+            self.aborting,
+            self.aborted,
+            self.prior_versions,
+            self.wave_policy,
+            [(entry.loid, entry.status) for entry in self._deliveries.values()],
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, PropagationTracker):
+            return NotImplemented
+        return self._durable() == other._durable()
 
     def count(self, status):
         """Number of deliveries in ``status``."""
@@ -283,12 +312,13 @@ class ManagerJournal:
             observer(event, payload)
 
     def append(self, kind, **data):
-        """Append one write-ahead entry."""
+        """Append one write-ahead entry; returns it."""
         entry = JournalEntry(kind, dict(data))
         self._entries.append(entry)
         self.appends += 1
         self._tail_bytes += estimate_entry_bytes(entry)
         self._notify("append", entry)
+        return entry
 
     def write_checkpoint(self, entries):
         """Replace the checkpoint with ``entries``; truncate the log."""

@@ -14,7 +14,9 @@ a :class:`StandbyReplica` on another host, and the standby replays
 each record into its own journal copy *as it arrives*.  At takeover
 the standby's journal is handed to ``recover_manager`` with
 ``skip_entries=len(journal)`` — the replay cost was paid continuously,
-so promotion is near-instant regardless of history length.
+so promotion is near-instant regardless of history length.  The
+promoted manager's state is rebuilt by the same
+:func:`~repro.core.manager_state.apply` the primary committed with.
 
 Design points:
 

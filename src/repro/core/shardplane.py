@@ -41,7 +41,7 @@ from repro.core.partition import (
     partition_slot,
 )
 from repro.core.recovery import ManagerJournal
-from repro.legion.loid import class_loid, mint_loid
+from repro.legion.loid import class_loid
 
 #: Simulated copy cost per handed-off DCDO-table row (seconds).  Small
 #: — rows are metadata, not state — but nonzero so a rebalance has a
@@ -356,7 +356,7 @@ class ShardedManagerPlane:
         waits for the map commit — it must journal on the shard that
         will own it, not the one about to release it.
         """
-        loid = mint_loid(self.runtime.domain, self.type_name)
+        loid = self.runtime.mint_loid(self.type_name)
         slot = partition_slot(loid)
         while any(lo <= slot < hi for lo, hi in self._mid_handoff):
             yield self.runtime.sim.timeout(HANDOFF_WAIT_S)

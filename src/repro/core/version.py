@@ -87,21 +87,26 @@ class VersionTree:
         """All version ids ever created, unordered."""
         return set(self._known)
 
+    def next_root(self):
+        """The id :meth:`new_root` would create, without creating it."""
+        return VersionId((self._roots + 1,))
+
+    def next_child(self, parent):
+        """The id :meth:`derive` would create, without creating it."""
+        if parent not in self._known:
+            raise KeyError(f"unknown version {parent}")
+        return parent.child(self._children.get(parent, 0) + 1)
+
     def new_root(self):
         """Create a fresh top-level version (1, then 2, ...)."""
-        self._roots += 1
-        version = VersionId((self._roots,))
-        self._known.add(version)
+        version = self.next_root()
+        self.restore(version)
         return version
 
     def derive(self, parent):
         """Create the next child of ``parent`` and return it."""
-        if parent not in self._known:
-            raise KeyError(f"unknown version {parent}")
-        index = self._children.get(parent, 0) + 1
-        self._children[parent] = index
-        child = parent.child(index)
-        self._known.add(child)
+        child = self.next_child(parent)
+        self.restore(child)
         return child
 
     def restore(self, version):
@@ -122,6 +127,15 @@ class VersionTree:
 
     def __contains__(self, version):
         return version in self._known
+
+    def __eq__(self, other):
+        if not isinstance(other, VersionTree):
+            return NotImplemented
+        return (self._known, self._roots, self._children) == (
+            other._known,
+            other._roots,
+            other._children,
+        )
 
     def descendants(self, ancestor):
         """All known versions deriving from ``ancestor`` (inclusive)."""

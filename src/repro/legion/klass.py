@@ -15,7 +15,7 @@ downloaded first if the host cache misses.
 from dataclasses import dataclass
 
 from repro.legion.errors import ObjectDeactivated, UnknownObject
-from repro.legion.loid import class_loid, mint_loid
+from repro.legion.loid import class_loid
 from repro.legion.objects import LegionObject
 
 
@@ -190,7 +190,7 @@ class ClassObject(LegionObject):
         """
         host = self._pick_host(host_name)
         if loid is None:
-            loid = mint_loid(self._runtime.domain, self._type_name)
+            loid = self._runtime.mint_loid(self._type_name)
         process = yield from host.spawn_process(loid)
         obj, version_tag = yield from self._build_instance(loid, host)
         if state is not None:

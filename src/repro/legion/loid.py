@@ -79,19 +79,24 @@ def intern_loid(loid):
     return _intern.setdefault((loid.domain, loid.type_name, loid.instance), loid)
 
 
-def mint_loid(domain, type_name):
+def mint_loid(domain, type_name, counters=_instance_counters):
     """Create a fresh instance LOID for (domain, type_name).
 
     Instance numbers start at 1; 0 is reserved for the class object
-    itself (see :func:`class_loid`).  The result is registered in the
-    intern table, so it *is* the canonical object for its triple.
+    itself (see :func:`class_loid`).  ``counters`` holds the next
+    number per (domain, type_name): a runtime passes its own (see
+    :meth:`~repro.legion.runtime.LegionRuntime.mint_loid`), so its
+    numbering does not depend on what other runtimes in the process
+    minted.  The result is the canonical interned object for its
+    triple.
     """
     key = (domain, type_name)
-    if key not in _instance_counters:
-        _instance_counters[key] = itertools.count(1)
-    loid = LOID(domain, type_name, next(_instance_counters[key]))
-    _intern[(domain, type_name, loid.instance)] = loid
-    return loid
+    if key not in counters:
+        counters[key] = itertools.count(1)
+    instance = next(counters[key])
+    return _intern.setdefault(
+        (domain, type_name, instance), LOID(domain, type_name, instance)
+    )
 
 
 def class_loid(domain, type_name):

@@ -11,6 +11,7 @@ from repro.legion.context_service import ContextService, lookup_path
 from repro.legion.errors import UnknownObject
 from repro.legion.implementation import ImplementationStore
 from repro.legion.klass import ClassObject
+from repro.legion.loid import mint_loid
 from repro.legion.rpc import MethodInvoker
 
 
@@ -80,6 +81,7 @@ class LegionRuntime:
     def __init__(self, testbed, domain="legion"):
         self._testbed = testbed
         self._domain = domain
+        self._loid_counters = {}
         self.binding_agent = BindingAgent(testbed.network)
         self.implementation_store = ImplementationStore(self)
         self.context_service = ContextService(testbed.network)
@@ -139,6 +141,15 @@ class LegionRuntime:
     def domain(self):
         """LOID domain for this runtime."""
         return self._domain
+
+    def mint_loid(self, type_name):
+        """A fresh LOID of ``type_name``, numbered within this runtime.
+
+        The same build of the same seed mints the same LOIDs however
+        many runtimes the process created before, so hash placement
+        (partition slots) and every seeded trace repeat exactly.
+        """
+        return mint_loid(self._domain, type_name, self._loid_counters)
 
     @property
     def hosts(self):

@@ -52,7 +52,7 @@ from repro.workloads import (
     make_noop_manager,
 )
 
-from tests.test_chaos_slo import assert_never_half_applied
+from tests.invariants import assert_never_half_applied
 
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8

@@ -32,7 +32,8 @@ from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
-from tests.test_chaos_transactions import assert_never_half_applied, derive_v2
+from tests.invariants import assert_never_half_applied
+from tests.test_chaos_transactions import derive_v2
 
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
@@ -144,7 +145,7 @@ def test_chaos_gray_invariants_hold(seed):
             or current.record(loid).obj.version is not None
         ]
         assert_never_half_applied(
-            current, settled, v1, v2, f"seed {seed} at heal"
+            current, settled, f"seed {seed} at heal", versions=(v1, v2)
         )
         deadline = runtime.sim.now + 420.0
         while runtime.sim.now < deadline:
@@ -183,7 +184,7 @@ def test_chaos_gray_invariants_hold(seed):
     # observed a term from the future.
     assert manager_now.term >= 1 + supervisor.promotions
     assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
+        manager_now, loids, f"seed {seed} converged", versions=(v1, v2)
     )
     for loid in loids:
         record = manager_now.record(loid)

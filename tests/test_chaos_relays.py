@@ -17,11 +17,12 @@ from repro.cluster.chaos import (
     ChaosSchedule,
     drive_to_convergence,
 )
-from repro.core import EvolutionPhase, ManagerJournal, WaveAborted, WavePolicy
+from repro.core import ManagerJournal, WaveAborted, WavePolicy
 from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
+from tests.invariants import assert_never_half_applied
 
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
@@ -30,9 +31,6 @@ ONE_SHOT = RetryPolicy(base_s=1.0, max_attempts=1)
 
 ICO_HOST = "host05"
 INSTANCE_HOSTS = ("host01", "host02", "host03", "host04")
-
-V1_COMPONENTS = {"sorter", "compare-asc"}
-V2_COMPONENTS = {"sorter", "compare-asc", "compare-desc"}
 
 
 def build_relay_fleet(sim_seed, instances_per_host=2, **manager_kwargs):
@@ -76,30 +74,6 @@ def derive_v2(manager):
     return version
 
 
-def assert_never_half_applied(manager, loids, v1, v2, context):
-    """Every live, settled instance is fully on v1 or fully on v2."""
-    for loid in loids:
-        record = manager.record(loid)
-        if not record.active:
-            continue
-        obj = record.obj
-        if obj.evolution_phase is not EvolutionPhase.IDLE:
-            continue
-        components = obj.dfm.component_ids
-        if obj.version == v2:
-            assert components == V2_COMPONENTS, (
-                f"{context}: {loid} at v2 with components {components}"
-            )
-        else:
-            assert obj.version == v1, (
-                f"{context}: {loid} at unexpected version {obj.version}"
-            )
-            assert components == V1_COMPONENTS, (
-                f"{context}: {loid} at v1 with components {components} "
-                f"(half-applied evolution)"
-            )
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_chaos_relay_crash_mid_batch_never_half_applied(seed):
     """Crash relay hosts while batches are mid-flight: instances die
@@ -133,7 +107,7 @@ def test_chaos_relay_crash_mid_batch_never_half_applied(seed):
         # Kick the batched wave off while the relay crashes are armed.
         yield from manager.propagate_version(v2, retry_policy=FAST_RETRY)
         assert_never_half_applied(
-            runtime.class_of("Sorter"), loids, v1, v2, f"seed {seed} post-wave"
+            runtime.class_of("Sorter"), loids, f"seed {seed} post-wave", versions=(v1, v2)
         )
         heal = schedule.heal_time + 1.0
         if runtime.sim.now < heal:
@@ -155,7 +129,7 @@ def test_chaos_relay_crash_mid_batch_never_half_applied(seed):
     )
     manager_now = runtime.class_of("Sorter")
     assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
+        manager_now, loids, f"seed {seed} converged", versions=(v1, v2)
     )
     for loid in loids:
         assert manager_now.instance_version(loid) == v2
@@ -205,7 +179,7 @@ def test_chaos_abortive_relay_wave_rolls_back(seed):
         except WaveAborted:
             aborted = True
         assert_never_half_applied(
-            manager, loids, v1, v2, f"seed {seed} post-wave"
+            manager, loids, f"seed {seed} post-wave", versions=(v1, v2)
         )
         heal = schedule.heal_time + 1.0
         if runtime.sim.now < heal:
@@ -232,7 +206,7 @@ def test_chaos_abortive_relay_wave_rolls_back(seed):
     )
     manager_now = runtime.class_of("Sorter")
     assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
+        manager_now, loids, f"seed {seed} converged", versions=(v1, v2)
     )
     for loid in loids:
         assert manager_now.record(loid).obj.version == v2

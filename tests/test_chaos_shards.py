@@ -34,7 +34,7 @@ from repro.legion.errors import LegionError
 from repro.net import RetryPolicy, TransportError
 
 from tests.conftest import make_sorter_plane
-from tests.test_chaos_transactions import assert_never_half_applied
+from tests.invariants import assert_never_half_applied
 
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
@@ -219,7 +219,7 @@ def test_chaos_shard_invariants_hold(seed):
         by_shard.setdefault(plane.map.current.shard_for(loid), []).append(loid)
     for shard_id, shard_loids in by_shard.items():
         assert_never_half_applied(
-            live[shard_id], shard_loids, v1, v2, f"seed {seed} s{shard_id}"
+            live[shard_id], shard_loids, f"seed {seed} s{shard_id}", versions=(v1, v2)
         )
     for loid in loids:
         record = plane.record(loid)

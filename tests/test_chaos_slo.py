@@ -25,7 +25,7 @@ import pytest
 
 from repro.cluster import Supervisor, build_lan
 from repro.cluster.chaos import ChaosCoordinator, ChaosSchedule
-from repro.core import EvolutionPhase, ManagerJournal, RemovePolicy
+from repro.core import ManagerJournal, RemovePolicy
 from repro.core.policies import (
     CanaryWavePolicy,
     IncreasingVersionPolicy,
@@ -40,6 +40,8 @@ from repro.workloads import (
     build_degraded_version,
     make_noop_manager,
 )
+
+from tests.invariants import assert_never_half_applied
 
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
@@ -64,29 +66,6 @@ CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
 
 #: Supervisor promotions per seed, checked in aggregate after the sweep.
 PROMOTIONS = {}
-
-
-def assert_never_half_applied(manager, loids, context):
-    """Every live, settled instance's DFM matches the full component
-    set of the version it reports — fully one version, never a blend."""
-    for loid in loids:
-        record = manager.record(loid)
-        if not record.active:
-            continue  # crashed: no live state to be half of anything
-        obj = record.obj
-        if obj.evolution_phase is not EvolutionPhase.IDLE:
-            continue  # mid-transaction; prepare/commit/rollback settles it
-        if obj.version is None:
-            continue  # just rebuilt, configuration not yet delivered
-        expected = set(
-            manager.descriptor_of(
-                obj.version, allow_instantiable=True
-            ).component_ids
-        )
-        assert set(obj.dfm.component_ids) == expected, (
-            f"{context}: {loid} at {obj.version} with components "
-            f"{sorted(obj.dfm.component_ids)} (half-applied evolution)"
-        )
 
 
 def build_fleet(sim_seed):

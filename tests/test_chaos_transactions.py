@@ -22,7 +22,6 @@ from repro.cluster.chaos import (
     drive_to_convergence,
 )
 from repro.core import (
-    EvolutionPhase,
     ManagerJournal,
     WaveAborted,
     WavePolicy,
@@ -33,6 +32,7 @@ from repro.legion import LegionRuntime
 from repro.net import RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
+from tests.invariants import assert_never_half_applied
 
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
@@ -83,44 +83,6 @@ def derive_v2(manager):
     return version
 
 
-V1_COMPONENTS = {"sorter", "compare-asc"}
-V2_COMPONENTS = {"sorter", "compare-asc", "compare-desc"}
-
-
-def assert_never_half_applied(manager, loids, v1, v2, context):
-    """Every live, settled instance is fully on v1 or fully on v2."""
-    for loid in loids:
-        record = manager.record(loid)
-        if not record.active:
-            continue  # a crashed instance has no live state to be half
-        obj = record.obj
-        if obj.evolution_phase is not EvolutionPhase.IDLE:
-            continue  # mid-transaction: prepare/commit/rollback settles it
-        components = obj.dfm.component_ids
-        compare = obj.dfm.enabled_components_of("compare")
-        if obj.version == v2:
-            assert components == V2_COMPONENTS, (
-                f"{context}: {loid} at v2 with components {components}"
-            )
-            assert compare == {"compare-desc"}, (
-                f"{context}: {loid} at v2 comparing with {compare}"
-            )
-        else:
-            assert obj.version == v1, (
-                f"{context}: {loid} at unexpected version {obj.version}"
-            )
-            assert components == V1_COMPONENTS, (
-                f"{context}: {loid} at v1 with components {components} "
-                f"(half-applied evolution)"
-            )
-            assert compare == {"compare-asc"}, (
-                f"{context}: {loid} at v1 comparing with {compare}"
-            )
-        assert sorted(obj.dfm.exported_interface()) == ["compare", "sort"], (
-            f"{context}: {loid} exports {obj.dfm.exported_interface()}"
-        )
-
-
 @pytest.mark.parametrize("seed", range(CHAOS_SEEDS))
 def test_chaos_never_half_applied(seed):
     """Crash hosts mid-apply and partition the ICO server mid-prepare,
@@ -151,7 +113,7 @@ def test_chaos_never_half_applied(seed):
         # Mid-run observation: faults just healed, deliveries may still
         # be retrying — but nothing may be half-applied.
         assert_never_half_applied(
-            runtime.class_of("Sorter"), loids, v1, v2, f"seed {seed} at heal"
+            runtime.class_of("Sorter"), loids, f"seed {seed} at heal", versions=(v1, v2)
         )
         tracker = yield from drive_to_convergence(
             runtime, "Sorter", journal=journal, retry_policy=FAST_RETRY
@@ -166,7 +128,7 @@ def test_chaos_never_half_applied(seed):
     )
     manager_now = runtime.class_of("Sorter")
     assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
+        manager_now, loids, f"seed {seed} converged", versions=(v1, v2)
     )
     for loid in loids:
         assert manager_now.instance_version(loid) == v2
@@ -210,7 +172,7 @@ def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
             aborted = True
         tracker = manager.propagation(v2)
         assert_never_half_applied(
-            manager, loids, v1, v2, f"seed {seed} post-wave"
+            manager, loids, f"seed {seed} post-wave", versions=(v1, v2)
         )
         if tracker.aborting:
             # The abort decision is durable before any rollback runs.
@@ -252,7 +214,7 @@ def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
     )
     manager_now = runtime.class_of("Sorter")
     assert_never_half_applied(
-        manager_now, loids, v1, v2, f"seed {seed} converged"
+        manager_now, loids, f"seed {seed} converged", versions=(v1, v2)
     )
     for loid in loids:
         assert manager_now.instance_version(loid) == v2

@@ -26,6 +26,22 @@ def test_loids_are_hashable_and_ordered():
     assert a < b
 
 
+def test_runtime_numbers_loids_independently_of_other_runtimes():
+    """A runtime's LOIDs (and so its partition slots) do not depend on
+    what was minted before it in the same process."""
+    from repro.cluster import build_lan
+    from repro.legion import LegionRuntime
+
+    first = LegionRuntime(build_lan(2, seed=1))
+    minted = [first.mint_loid("Sorter") for __ in range(3)]
+    for __ in range(252):
+        mint_loid("legion", "Sorter")
+    second = LegionRuntime(build_lan(2, seed=1))
+    assert [second.mint_loid("Sorter") for __ in range(3)] == minted
+    assert [loid.instance for loid in minted] == [1, 2, 3]
+    assert second.mint_loid("Sorter") is first.mint_loid("Sorter")  # interned
+
+
 def test_class_loid_is_instance_zero():
     loid = class_loid("d", "T")
     assert loid.instance == 0

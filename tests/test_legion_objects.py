@@ -50,10 +50,8 @@ def test_placement_spreads_instances(runtime):
 
 def test_unknown_instance_raises(runtime):
     klass = make_counter_class(runtime)
-    from repro.legion.loid import mint_loid
-
     with pytest.raises(UnknownObject):
-        klass.record(mint_loid(runtime.domain, "Counter"))
+        klass.record(runtime.mint_loid("Counter"))
 
 
 # ----------------------------------------------------------------------
@@ -141,10 +139,8 @@ def test_invoking_class_object_remotely(runtime):
 def test_unknown_loid_resolution_fails(runtime):
     make_counter_class(runtime)
     client = runtime.make_client()
-    from repro.legion.loid import mint_loid
-
     with pytest.raises(UnknownObject):
-        client.call_sync(mint_loid(runtime.domain, "Counter"), "get")
+        client.call_sync(runtime.mint_loid("Counter"), "get")
 
 
 # ----------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_dead_relay_falls_back_to_direct_delivery():
     directory = deploy_relays(runtime)
     # Point host02's entry at a relay that never existed: every batch
     # to it fails, so its instances must arrive via the direct path.
-    directory["host02"] = mint_loid(runtime.domain, "HostRelay")
+    directory["host02"] = runtime.mint_loid("HostRelay")
     manager.use_relays(directory)
     v2 = derive_v2(manager)
     tracker = runtime.sim.run_process(
@@ -188,7 +188,7 @@ def test_tree_wave_single_manager_rpc():
 def test_tree_subtree_failure_reports_and_falls_back():
     runtime, manager, loids = build_relay_fleet(hosts=3, instances_per_host=2)
     directory = deploy_relays(runtime)
-    directory["host03"] = mint_loid(runtime.domain, "HostRelay")
+    directory["host03"] = runtime.mint_loid("HostRelay")
     manager.use_relays(directory, fanout_k=2)
     v2 = derive_v2(manager)
     tracker = runtime.sim.run_process(
@@ -287,7 +287,7 @@ def test_announce_wave_dead_relay_falls_back():
 
     runtime, manager, loids = build_relay_fleet(hosts=3, instances_per_host=2)
     directory = deploy_relays(runtime)
-    directory["host03"] = mint_loid(runtime.domain, "HostRelay")
+    directory["host03"] = runtime.mint_loid("HostRelay")
     # Poison the roster too, as a real relay death would: the fleet
     # round sees the subtree shortfall and the wave drops to per-host
     # announcements, which localize the failure to host03.

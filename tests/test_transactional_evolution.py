@@ -19,12 +19,14 @@ from repro.core import (
     DeliveryStatus,
     EvolutionPhase,
     ManagerJournal,
+    ManagerState,
     WaveAborted,
     WavePolicy,
     define_dcdo_type,
     diff_descriptors,
     recover_manager,
 )
+from repro.core.manager_state import apply
 from repro.legion import LegionRuntime
 from repro.legion.errors import ObjectUnreachable
 from repro.net import CircuitOpen, PrefixPartition, RetryPolicy
@@ -549,9 +551,13 @@ def test_manager_crash_mid_abort_recovery_completes_the_abort():
     assert "wave-aborted" in kinds
     # Checkpointing preserves the terminal abort state.
     recovered.write_checkpoint()
-    kinds = [entry.kind for entry in journal.replay()]
-    assert "wave-aborting" in kinds and "wave-aborted" in kinds
-    assert kinds.count("wave-rollback") == 3
+    replayed = ManagerState()
+    for entry in journal.replay():
+        apply(replayed, entry)
+    restored = replayed.propagations[v2]
+    assert restored == tracker
+    assert restored.aborting and restored.aborted and restored.complete
+    assert restored.count(DeliveryStatus.ROLLED_BACK) == 3
 
 
 # ----------------------------------------------------------------------
