@@ -21,7 +21,9 @@ core), so core imports stay inside functions to keep the cluster
 package importable on its own.
 """
 
-import random
+from collections import namedtuple
+from operator import attrgetter
+from types import SimpleNamespace
 
 from repro.cluster.host import CrashPlan
 from repro.net import (
@@ -33,6 +35,7 @@ from repro.net import (
     ReorderRule,
     SlowLink,
 )
+from repro.sim.rng import DeterministicRNG
 
 
 def fleet_managers(runtime):
@@ -199,110 +202,469 @@ class ChaosCoordinator:
                     continue
 
 
+# ----------------------------------------------------------------------
+# Fault records.  Kinds that install the same fault share one shape.
+# Times are offsets from install; hosts are host names.
+# ----------------------------------------------------------------------
+
+#: ``host`` is down from ``start`` until it restarts at ``end``.  With a
+#: ``pick``, a live range move starts just before the crash (``pick``
+#: selects the source shard when the victim homes none).
+Outage = namedtuple("Outage", "host start end pick", defaults=(None,))
+#: ``side_a`` and ``side_b`` cannot reach each other — or, ``one_way``,
+#: traffic from ``side_a`` toward ``side_b`` is lost while the reverse
+#: direction flows.
+Partition = namedtuple(
+    "Partition", "side_a side_b start end one_way", defaults=(False,)
+)
+#: At most ``count`` random messages are lost.
+Drop = namedtuple("Drop", "count start end")
+#: The links between ``host`` and ``rest`` are down ``down_s`` seconds
+#: of every ``period_s``.
+Flap = namedtuple("Flap", "host rest period_s down_s start end")
+#: Messages between ``host`` and ``rest`` take ``extra_s`` longer, plus
+#: up to ``jitter_s`` drawn from ``seed``.
+Slowdown = namedtuple("Slowdown", "host rest extra_s jitter_s seed start end")
+#: Any message is copied with ``probability``; the copy lands up to
+#: ``spread_s`` seconds late.
+Duplication = namedtuple("Duplication", "probability spread_s seed start end")
+#: Any message is held back up to ``max_skew_s`` with ``probability``.
+Reordering = namedtuple("Reordering", "probability max_skew_s seed start end")
+#: ``host``'s CPU and NIC service times multiply by ``factor``.
+Limp = namedtuple("Limp", "host factor start end")
+#: Partition-map replica convergence runs ``extra`` seconds late.
+Staleness = namedtuple("Staleness", "extra start end")
+#: A version-quality regression, ``("latency", seconds)`` or
+#: ``("errors", every_k)``.  Not installed: the harness stages it as a
+#: degraded build (:func:`repro.workloads.generator.build_degraded_version`)
+#: whose gated rollout must breach and roll back.
+Degradation = namedtuple("Degradation", "kind amount")
+#: At ``at`` the harness adopts a degraded build fleet-wide, outside any
+#: canary.  Not installed: staging the build needs the manager, which
+#: the reactive controller must then demote.
+BadDeploy = namedtuple("BadDeploy", "at added_latency_s error_every")
+
+
+# ----------------------------------------------------------------------
+# Drawers: ``draw(rng, plan) -> [record, ...]``, one per fault kind.
+# ``rng`` is the kind's own stream; ``plan`` holds generate()'s
+# arguments plus ``down``, the hosts earlier outage kinds crash.
+# ----------------------------------------------------------------------
+
+
+class _Plan(SimpleNamespace):
+    def pool(self, names):
+        """``names`` that exist, are not protected and are not down."""
+        return [
+            name
+            for name in names
+            if name in self.host_names
+            and name not in self.protect
+            and name not in self.down
+        ]
+
+    def window(self, rng, latest, shortest, longest, earliest=0.5):
+        """``(start, end)``: a start in ``[earliest, latest x duration)``
+        and a length of ``shortest`` s to ``longest x duration``."""
+        start = rng.uniform(earliest, latest * self.duration_s)
+        return start, start + rng.uniform(shortest, longest * self.duration_s)
+
+
+def _count(rng, most):
+    """How many faults a kind rolls: 1..``most``, none when off."""
+    return rng.randint(1, most) if most > 0 else 0
+
+
+def _victim(rng, hosts):
+    victim = rng.choice(hosts)
+    return victim, [name for name in hosts if name != victim]
+
+
+def _outages(rng, plan, victims, earliest, latest):
+    """Crash every victim in ``[earliest, latest)``; each restarts 5 s to
+    0.4 x the duration later.  Marks the victims down for later kinds."""
+    outages = []
+    for host in victims:
+        start = rng.uniform(earliest, latest)
+        end = start + rng.uniform(5.0, plan.duration_s * 0.4)
+        outages.append(Outage(host, start, end))
+        plan.down.add(host)
+    return outages
+
+
+def _sampled_outages(rng, plan, hosts, most, earliest, latest):
+    """Crash ``most`` of ``hosts`` (all when fewer may crash)."""
+    pool = plan.pool(hosts)
+    victims = rng.sample(pool, k=min(most, len(pool))) if most > 0 else []
+    return _outages(rng, plan, victims, earliest, latest)
+
+
+def _draw_crashes(rng, plan):
+    pool = plan.pool(plan.host_names)
+    if not pool or plan.max_crashes <= 0:
+        return []
+    victims = rng.sample(pool, k=rng.randint(1, min(plan.max_crashes, len(pool))))
+    return _outages(rng, plan, victims, 1.0, plan.duration_s * 0.4)
+
+
+def _draw_mid_apply_crashes(rng, plan):
+    most = plan.mid_apply_crashes
+    return _sampled_outages(rng, plan, plan.host_names, most, 0.6, 6.0)
+
+
+def _draw_relay_crashes(rng, plan):
+    most = plan.max_relay_crashes
+    return _sampled_outages(rng, plan, plan.relay_hosts, most, 0.5, 8.0)
+
+
+def _draw_failovers(rng, plan):
+    """Crash manager hosts in their listed order, chained: the first
+    early, each next 8-20 s after the previous crash, so a supervisor
+    always chases the *current* primary."""
+    crash_at = rng.uniform(0.5, 6.0)
+    outages = []
+    for host in plan.pool(plan.manager_hosts)[: plan.max_failovers]:
+        end = crash_at + rng.uniform(10.0, plan.duration_s * 0.35)
+        outages.append(Outage(host, crash_at, end))
+        plan.down.add(host)
+        crash_at += rng.uniform(8.0, 20.0)
+    return outages
+
+
+def _draw_shard_crashes(rng, plan):
+    most = plan.max_shard_crashes
+    return _sampled_outages(rng, plan, plan.shard_hosts, most, 0.5, 8.0)
+
+
+def _draw_rebalance_crashes(rng, plan):
+    most = plan.mid_rebalance_crashes
+    outages = _sampled_outages(rng, plan, plan.shard_hosts, most, 1.0, 8.0)
+    return [outage._replace(pick=rng.random()) for outage in outages]
+
+
+def _draw_partitions(rng, plan):
+    hosts = plan.host_names
+    partitions = []
+    for __ in range(rng.randint(0, plan.max_partitions) if len(hosts) >= 2 else 0):
+        shuffled = rng.sample(hosts, len(hosts))
+        cut = rng.randint(1, len(hosts) - 1)
+        window = plan.window(rng, 0.5, 2.0, 0.4, earliest=0.0)
+        partitions.append(Partition(shuffled[:cut], shuffled[cut:], *window))
+    return partitions
+
+
+def _draw_ico_partitions(rng, plan):
+    ico = [name for name in plan.ico_hosts if name in plan.host_names]
+    others = [name for name in plan.host_names if name not in ico]
+    if not (ico and others):
+        return []
+    return [
+        Partition(ico, others, *plan.window(rng, 0.25, 5.0, 0.5, earliest=0.0))
+        for __ in range(_count(rng, plan.max_ico_partitions))
+    ]
+
+
+def _draw_manager_partitions(rng, plan):
+    """Isolate the first manager host: the split-brain shape."""
+    managers = [name for name in plan.manager_hosts if name in plan.host_names]
+    if not managers or len(plan.host_names) < 2:
+        return []
+    rest = [name for name in plan.host_names if name != managers[0]]
+    return [
+        Partition([managers[0]], rest, *plan.window(rng, 0.2, 6.0, 0.35))
+        for __ in range(_count(rng, plan.max_manager_partitions))
+    ]
+
+
+def _draw_drops(rng, plan):
+    drops = []
+    for __ in range(rng.randint(0, plan.max_drops)):
+        start = rng.uniform(0.0, plan.duration_s * 0.6)
+        drops.append(Drop(rng.randint(1, 4), start, start + rng.uniform(1.0, 20.0)))
+    return drops
+
+
+def _repeated(option, one, min_hosts=0):
+    """A drawer rolling 1..``plan.<option>`` records, each drawn by
+    ``one(rng, plan)`` — none with fewer than ``min_hosts`` hosts."""
+
+    def draw(rng, plan):
+        if len(plan.host_names) < min_hosts:
+            return []
+        return [one(rng, plan) for __ in range(_count(rng, getattr(plan, option)))]
+
+    return draw
+
+
+def _degradation(rng, plan):
+    if rng.random() < 0.5:
+        return Degradation("latency", round(rng.uniform(0.1, 0.5), 3))
+    return Degradation("errors", rng.randint(1, 3))
+
+
+def _one_way(rng, plan):
+    victim, rest = _victim(rng, plan.host_names)
+    window = plan.window(rng, 0.4, 5.0, 0.4)
+    # The victim goes mute (its sends vanish) or deaf (nothing reaches it).
+    sides = ([victim], rest) if rng.random() < 0.5 else (rest, [victim])
+    return Partition(*sides, *window, one_way=True)
+
+
+def _flap(rng, plan):
+    victim, rest = _victim(rng, plan.host_names)
+    period = rng.uniform(2.0, 10.0)
+    down = period * rng.uniform(0.2, 0.6)
+    return Flap(victim, rest, period, down, *plan.window(rng, 0.4, 8.0, 0.4))
+
+
+def _slowdown(rng, plan):
+    victim, rest = _victim(rng, plan.host_names)
+    extra, jitter = rng.uniform(0.05, 0.3), rng.uniform(0.0, 0.2)
+    window = plan.window(rng, 0.4, 5.0, 0.4)
+    return Slowdown(victim, rest, extra, jitter, rng.randrange(2**32), *window)
+
+
+def _duplication(rng, plan):
+    probability, spread = rng.uniform(0.05, 0.3), rng.uniform(0.005, 0.05)
+    window = plan.window(rng, 0.5, 5.0, 0.4, earliest=0.0)
+    return Duplication(probability, spread, rng.randrange(2**32), *window)
+
+
+def _reordering(rng, plan):
+    probability, skew = rng.uniform(0.05, 0.3), rng.uniform(0.002, 0.02)
+    window = plan.window(rng, 0.5, 5.0, 0.4, earliest=0.0)
+    return Reordering(probability, skew, rng.randrange(2**32), *window)
+
+
+def _limp(rng, plan):
+    host, factor = rng.choice(plan.host_names), round(rng.uniform(2.0, 8.0), 2)
+    return Limp(host, factor, *plan.window(rng, 0.4, 5.0, 0.4))
+
+
+def _draw_flaky_limps(rng, plan):
+    """Limps drawn from the instance-bearing hosts, so quarantine and
+    migrate-off-flaky-host remediation actually trigger."""
+    pool = [name for name in plan.instance_hosts if name in plan.host_names]
+    return [
+        Limp(
+            rng.choice(pool),
+            round(rng.uniform(4.0, 10.0), 2),
+            *plan.window(rng, 0.3, 10.0, 0.5),
+        )
+        for __ in range(_count(rng, plan.max_flaky_limps) if pool else 0)
+    ]
+
+
+def _staleness(rng, plan):
+    extra = round(rng.uniform(0.1, 1.5), 3)
+    return Staleness(extra, *plan.window(rng, 0.4, 2.0, 0.3, earliest=0.0))
+
+
+def _bad_deploy(rng, plan):
+    at = rng.uniform(1.0, plan.duration_s * 0.3)
+    if rng.random() < 0.5:
+        return BadDeploy(at, round(rng.uniform(0.2, 1.0), 3), 0)
+    return BadDeploy(at, 0.0, rng.randint(2, 4))
+
+
+_draw_degradations = _repeated("max_degradations", _degradation)
+_draw_one_way = _repeated("gray_one_way", _one_way, min_hosts=2)
+_draw_flaps = _repeated("gray_flaps", _flap, min_hosts=2)
+_draw_slow_links = _repeated("gray_slow_links", _slowdown, min_hosts=2)
+_draw_duplicates = _repeated("gray_duplicates", _duplication)
+_draw_reorders = _repeated("gray_reorders", _reordering)
+_draw_limps = _repeated("gray_limps", _limp, min_hosts=1)
+_draw_map_staleness = _repeated("max_map_staleness", _staleness)
+_draw_bad_deploys = _repeated("max_bad_deploys", _bad_deploy)
+
+
+# ----------------------------------------------------------------------
+# Installers: ``install(fault, runtime, coordinator, plane)`` arms one
+# record whose times install has already rebased to absolute.
+# ----------------------------------------------------------------------
+
+
+def _prefixes(hosts):
+    return [f"{name}/" for name in hosts]
+
+
+def _install_outage(fault, runtime, coordinator, plane):
+    host = runtime.host(fault.host)
+    coordinator.crash_plan.schedule_outage(host, fault.start, fault.end)
+    if fault.pick is not None and plane is not None:
+        runtime.sim.spawn(
+            live_range_move(runtime, plane, fault.start, fault.host, fault.pick),
+            name=f"rebalance:{fault.host}@{fault.start:g}",
+        )
+
+
+def _install_partition(fault, runtime, coordinator, plane):
+    rule = OneWayPartition if fault.one_way else PrefixPartition
+    runtime.network.faults.add_partition(
+        rule(_prefixes(fault.side_a), _prefixes(fault.side_b), fault.start, fault.end)
+    )
+
+
+def _rule(add, rule):
+    """An installer building ``rule`` from the record's fields (they
+    share names) and adding it with the fault plan's ``add`` method."""
+
+    def install(fault, runtime, coordinator, plane):
+        getattr(runtime.network.faults, add)(rule(**fault._asdict()))
+
+    return install
+
+
+def _link_rule(add, rule, tag):
+    """An installer for ``rule`` between ``host`` and the ``rest``,
+    labelled ``tag:host``; the record's other fields pass by name."""
+
+    def install(fault, runtime, coordinator, plane):
+        fields = fault._asdict()
+        host, rest = fields.pop("host"), fields.pop("rest")
+        link = rule(_prefixes([host]), _prefixes(rest), label=f"{tag}:{host}", **fields)
+        getattr(runtime.network.faults, add)(link)
+
+    return install
+
+
+def _install_limp(fault, runtime, coordinator, plane):
+    runtime.sim.spawn(
+        _limp_window(runtime, fault.host, fault.factor, fault.start, fault.end),
+        name=f"limp:{fault.host}@{fault.start:g}",
+    )
+
+
+def _install_staleness(fault, runtime, coordinator, plane):
+    # Staleness windows act on a sharded plane's map; without one there
+    # is nothing to delay.
+    if plane is not None:
+        plane.map.add_staleness_window(fault.extra, fault.start, fault.end)
+
+
+def _limp_window(runtime, host_name, factor, start, end):
+    """Process body: degrade a host's service times, then heal."""
+    sim = runtime.sim
+    yield sim.timeout(start - sim.now, daemon=True)
+    host = runtime.host(host_name)
+    host.set_limp(factor, slow_nic=True)
+    yield sim.timeout(end - sim.now, daemon=True)
+    host.clear_limp()
+
+
+def live_range_move(runtime, plane, at, victim=None, pick=0.0):
+    """Process body: move half a shard's first span onto the next shard.
+
+    Fires a hair *before* ``at`` — so a crash of ``victim`` at ``at``
+    lands inside the handoff's per-row copy window, while rows are
+    still in flight.  The source shard is the one homed on ``victim``
+    when there is one (the crash then always hits a handoff
+    participant); ``pick`` deterministically selects otherwise, and the
+    target is the source's successor in shard id order.  Aborted
+    handoffs (dead source or target) are chaos working as intended,
+    not an error.
+    """
+    from repro.core.shardplane import HandoffAborted
+    from repro.legion.errors import LegionError
+    from repro.net import TransportError
+
+    sim = runtime.sim
+    lead = min(0.0002, max(0.0, at - sim.now))
+    yield sim.timeout(max(0.0, at - sim.now - lead), daemon=True)
+    shard_ids = sorted(plane.shard_ids)
+    if len(shard_ids) < 2:
+        return
+    source = None
+    for shard_id in shard_ids:
+        manager = plane.shards.get(shard_id)
+        if manager is not None and manager.host.name == victim:
+            source = shard_id
+            break
+    if source is None:
+        source = shard_ids[int(pick * len(shard_ids)) % len(shard_ids)]
+    target = shard_ids[(shard_ids.index(source) + 1) % len(shard_ids)]
+    spans = plane.map.current.spans_of(source)
+    if not spans:
+        return
+    lo, hi = spans[0]
+    if hi - lo < 2:
+        return
+    half = (lo + (hi - lo) // 2, hi)
+    try:
+        yield from plane.move_range(half, target, mode="fast")
+    except (HandoffAborted, LegionError, TransportError, ValueError, KeyError):
+        # The crash landed mid-handoff and aborted it — exactly the
+        # scenario this kind exists to exercise.
+        return
+
+
+# ----------------------------------------------------------------------
+# The table: one entry per fault kind, keyed by its stream name.  Order
+# matters only for crash victims: an outage kind skips hosts an earlier
+# one already takes down.
+# ----------------------------------------------------------------------
+
+#: ``draw(rng, plan)`` rolls the kind's records, ``install`` arms one
+#: (None: the harness stages it), ``ends(record)`` is the offset by
+#: which it has cleared.
+FaultKind = namedtuple("FaultKind", "draw install ends")
+
+_ends = attrgetter("end")
+
+FAULT_KINDS = {
+    "crashes": FaultKind(_draw_crashes, _install_outage, _ends),
+    "mid_apply_crashes": FaultKind(_draw_mid_apply_crashes, _install_outage, _ends),
+    "relay_crashes": FaultKind(_draw_relay_crashes, _install_outage, _ends),
+    "failovers": FaultKind(_draw_failovers, _install_outage, _ends),
+    "shard_crashes": FaultKind(_draw_shard_crashes, _install_outage, _ends),
+    "rebalance_crashes": FaultKind(_draw_rebalance_crashes, _install_outage, _ends),
+    "partitions": FaultKind(_draw_partitions, _install_partition, _ends),
+    "ico_partitions": FaultKind(_draw_ico_partitions, _install_partition, _ends),
+    "manager_partitions": FaultKind(
+        _draw_manager_partitions, _install_partition, _ends
+    ),
+    "drops": FaultKind(_draw_drops, _rule("add_drop_rule", DropRule), _ends),
+    "degradations": FaultKind(_draw_degradations, None, lambda fault: 0.0),
+    "one_way": FaultKind(_draw_one_way, _install_partition, _ends),
+    "flaps": FaultKind(
+        _draw_flaps, _link_rule("add_partition", LinkFlap, "flap"), _ends
+    ),
+    "slow_links": FaultKind(
+        _draw_slow_links, _link_rule("add_delay_rule", SlowLink, "slow"), _ends
+    ),
+    "duplicates": FaultKind(
+        _draw_duplicates, _rule("add_duplicate_rule", DuplicateRule), _ends
+    ),
+    "reorders": FaultKind(_draw_reorders, _rule("add_delay_rule", ReorderRule), _ends),
+    "limps": FaultKind(_draw_limps, _install_limp, _ends),
+    "flaky_limps": FaultKind(_draw_flaky_limps, _install_limp, _ends),
+    "map_staleness": FaultKind(_draw_map_staleness, _install_staleness, _ends),
+    "bad_deploys": FaultKind(_draw_bad_deploys, None, attrgetter("at")),
+}
+
+
 class ChaosSchedule:
     """A deterministic fault scenario generated from one seed.
 
-    Attributes
-    ----------
-    crashes:
-        ``(host_name, crash_at, restart_at)`` outages.
-    partitions:
-        ``(prefixes_a, prefixes_b, start, end)`` prefix partitions.
-    drops:
-        ``(count, start, end)`` bounded random-drop windows.
-    degradations:
-        ``(kind, amount)`` version-quality regressions — ``("latency",
-        seconds)`` or ``("errors", every_k)``.  Not installed on the
-        network: the harness feeds them to
-        :func:`repro.workloads.generator.build_degraded_version` to
-        stage the bad build whose rollout the SLO gate must catch.
-    one_way:
-        ``(from_host, to_hosts, start, end)`` asymmetric partitions:
-        traffic from ``from_host`` toward ``to_hosts`` is lost, the
-        reverse direction flows.
-    flaps:
-        ``(host, other_hosts, period_s, down_s, start, end)`` link-flap
-        schedules between one host and the rest.
-    slow_links:
-        ``(host, other_hosts, extra_s, jitter_s, rule_seed, start,
-        end)`` latency-inflation windows.
-    duplicates:
-        ``(probability, spread_s, rule_seed, start, end)`` message
-        duplication windows over all traffic.
-    reorders:
-        ``(probability, max_skew_s, rule_seed, start, end)`` bounded
-        reordering windows over all traffic.
-    limps:
-        ``(host, factor, start, end)`` limping-host windows: CPU (and
-        NIC) service times multiply by ``factor``, then heal.
-    shard_crashes:
-        ``(host_name, crash_at, restart_at)`` outages aimed at hosts
-        running shard managers of a :class:`ShardedManagerPlane` —
-        schedule-wise identical to ``crashes`` but drawn from the
-        shard-host pool, so a sweep can guarantee the fault lands on
-        the sharded control plane.
-    map_staleness:
-        ``(extra_s, start, end)`` partition-map staleness windows:
-        replica convergence after a fast-mode map apply is delayed by
-        ``extra_s`` inside the window, widening the stale-map bounce
-        race for routed RPCs.
-    rebalance_crashes:
-        ``(host_name, crash_at, restart_at, pick)`` mid-rebalance
-        crashes: at ``crash_at`` a live range move is triggered on the
-        plane (``pick`` deterministically selects the source shard)
-        and the named host is crashed while the handoff is in flight,
-        exercising the abort/prune path.
-    bad_deploys:
-        ``(at, added_latency_s, error_every)`` unguarded bad rollouts:
-        at ``at`` the harness adopts a degraded build fleet-wide
-        *outside* any canary (the operator-pushed regression the SLO
-        gate never saw).  Not installed on the network — the harness
-        stages the build via
-        :func:`repro.workloads.generator.build_degraded_version` and
-        propagates it; the reactive controller must sense the breach
-        and demote.
-    flaky_limps:
-        ``(host, factor, start, end)`` limping windows drawn from the
-        instance-bearing host pool — semantics identical to ``limps``,
-        but guaranteed to land where instances live, so quarantine and
-        migrate-off-flaky-host remediation actually trigger.
+    ``faults`` maps every :data:`FAULT_KINDS` name to that kind's
+    records (see the record shapes above); each kind also reads as an
+    attribute, e.g. ``schedule.crashes``.  :meth:`records` gathers one
+    shape across kinds — every host outage, say, whichever kind drew it.
     """
 
-    def __init__(
-        self,
-        crashes=(),
-        partitions=(),
-        drops=(),
-        degradations=(),
-        one_way=(),
-        flaps=(),
-        slow_links=(),
-        duplicates=(),
-        reorders=(),
-        limps=(),
-        shard_crashes=(),
-        map_staleness=(),
-        rebalance_crashes=(),
-        bad_deploys=(),
-        flaky_limps=(),
-    ):
-        self.crashes = list(crashes)
-        self.partitions = list(partitions)
-        self.drops = list(drops)
-        self.degradations = list(degradations)
-        self.one_way = list(one_way)
-        self.flaps = list(flaps)
-        self.slow_links = list(slow_links)
-        self.duplicates = list(duplicates)
-        self.reorders = list(reorders)
-        self.limps = list(limps)
-        self.shard_crashes = list(shard_crashes)
-        self.map_staleness = list(map_staleness)
-        self.rebalance_crashes = list(rebalance_crashes)
-        self.bad_deploys = list(bad_deploys)
-        self.flaky_limps = list(flaky_limps)
+    def __init__(self, **faults):
+        unknown = set(faults) - set(FAULT_KINDS)
+        if unknown:
+            raise TypeError(f"unknown fault kinds: {sorted(unknown)}")
+        self.faults = {name: list(faults.get(name, ())) for name in FAULT_KINDS}
         #: Simulated time :meth:`install` rebased the offsets onto.
         self.installed_at = None
+
+    def __getattr__(self, name):
+        faults = self.__dict__.get("faults", {})
+        if name in faults:
+            return faults[name]
+        raise AttributeError(name)
 
     @classmethod
     def generate(
@@ -337,564 +699,99 @@ class ChaosSchedule:
         max_bad_deploys=0,
         max_flaky_limps=0,
     ):
-        """Roll a scenario: every draw comes from ``random.Random(seed)``.
+        """Roll a scenario; every kind draws from its own stream,
+        ``DeterministicRNG(seed).stream(kind)``.
 
-        ``protect`` names hosts exempt from crashing (they may still be
-        partitioned) — e.g. a host whose manager has no journal.
+        Enabling or disabling one kind therefore never shifts another
+        kind's draws.  The one exception is crash victims: an outage
+        kind never picks a host that ``protect`` names or an earlier
+        outage kind already takes down.  Every kind but the first three
+        defaults off.
 
-        Two fault kinds target the transactional-evolution window
-        specifically; both default off, and their draws come strictly
-        after the legacy ones, so a given seed yields the same legacy
-        schedule either way:
+        Options and the kinds they turn on (``n`` is the option value):
 
-        - ``max_ico_partitions`` (with ``ico_hosts`` naming the hosts
-          serving ICOs) cuts the component servers off from everyone
-          else early in the run — an evolution that reaches its
-          prepare-phase fetch then fails and must roll back.
-        - ``mid_apply_crashes`` crashes extra hosts inside the first
-          few seconds, while prepare/commit work is typically in
-          flight.
+        - ``max_crashes``: ``crashes``, 1..n random host outages;
+          ``max_partitions`` and ``max_drops``: ``partitions`` (random
+          two-way splits) and ``drops`` (bounded random-loss windows),
+          0..n each.
+        - ``max_ico_partitions``: ``ico_partitions`` cut ``ico_hosts``
+          off early, so prepare-phase fetches fail and roll back.
+        - ``mid_apply_crashes``: crash hosts in the first seconds, while
+          prepare/commit work is typically in flight.
+        - ``max_relay_crashes``: ``relay_crashes`` of ``relay_hosts``
+          while a batch is typically in flight.
+        - ``max_manager_partitions``: ``manager_partitions`` isolate the
+          first of ``manager_hosts`` (split brain); ``max_failovers``:
+          ``failovers`` crash ``manager_hosts`` in chained succession.
+        - ``max_degradations``: ``degradations``, builds to stage.
+        - ``gray_one_way``, ``gray_flaps``, ``gray_slow_links``,
+          ``gray_duplicates``, ``gray_reorders``, ``gray_limps``: the
+          gray kinds ``one_way``, ``flaps``, ``slow_links``,
+          ``duplicates``, ``reorders`` and ``limps``.
+        - ``max_shard_crashes``, ``max_map_staleness``,
+          ``mid_rebalance_crashes``: crash ``shard_hosts``, delay map
+          convergence, crash a ``shard_hosts`` host mid range move.
+        - ``max_bad_deploys``: ``bad_deploys``, unguarded degraded
+          rollouts; ``max_flaky_limps``: ``flaky_limps`` on
+          ``instance_hosts``.
 
-        ``max_relay_crashes`` (with ``relay_hosts`` naming hosts that
-        run evolution relays) crashes relay hosts in the first seconds
-        of the run — while a batched wave is typically mid-flight, so
-        the batch dies with its relay and its colocated instances.
-        Its draws come strictly after every other kind, preserving a
-        seed's legacy schedule.
-
-        Two further kinds target manager availability (PR 5); both
-        default off and draw strictly after everything above, again
-        preserving legacy schedules:
-
-        - ``max_manager_partitions`` (with ``manager_hosts`` naming
-          hosts that run — or may be promoted to run — a DCDO
-          Manager) isolates the *first* manager host from every other
-          host for a window: the split-brain scenario, where a healthy
-          primary is cut off, a standby is promoted, and the old
-          primary's stale-term traffic must be fenced after heal.
-        - ``max_failovers`` crashes manager hosts in sequence along
-          ``manager_hosts`` — the first early (while a wave is
-          typically mid-flight), each next one spaced out so it can
-          land after the previous promotion: the double-failover
-          scenario.  Crash times are chained, not overlapping, so a
-          supervisor is always chasing the *current* primary.
-
-        ``max_degradations`` (default off, draws strictly last) rolls
-        version-quality faults: ``("latency", s)`` or ``("errors", k)``
-        pairs the harness turns into a degraded build (see
-        :func:`repro.workloads.generator.build_degraded_version`)
-        whose gated rollout must breach and roll back.
-
-        The six ``gray_*`` kinds roll *gray* failures — faults where
-        messages or hosts are degraded rather than dead: asymmetric
-        (one-way) partitions, link flaps, slow links, duplication,
-        bounded reordering, and limping hosts.  All default off; their
-        draws come strictly after every kind above, in exactly this
-        order, so legacy seeds keep their schedules and each gray kind
-        added later never perturbs the earlier ones.  Rules that need
-        per-message randomness (slow-link jitter, duplication,
-        reordering) carry their own sub-seed drawn here, keeping the
-        whole scenario a pure function of ``seed``.
-
-        The three ``shard``/``map``/``rebalance`` kinds (PR 9) target
-        the sharded manager plane; all default off and draw strictly
-        after every kind above — including every gray kind — in
-        exactly this order, so every legacy seed keeps its exact
-        schedule:
-
-        - ``max_shard_crashes`` (with ``shard_hosts`` naming hosts
-          that run shard managers) crashes shard hosts early in the
-          run, while a per-shard wave is typically mid-flight.
-        - ``max_map_staleness`` opens partition-map staleness windows:
-          after a fast-mode map apply, replica convergence inside the
-          window is delayed by an extra ``extra_s``, so stubs route on
-          stale epochs for longer and stale-map bounces multiply.
-        - ``mid_rebalance_crashes`` triggers a live range move on the
-          plane and crashes a shard host while the row handoff is in
-          flight — the aborted handoff must leave no range writable by
-          two shards and no row half-moved.
-
-        The two controller kinds (PR 10) target the self-healing loop;
-        both default off and draw strictly after every kind above —
-        including every shard kind — in exactly this order, so every
-        legacy seed keeps its exact schedule:
-
-        - ``max_bad_deploys`` rolls unguarded degraded rollouts the
-          harness adopts fleet-wide at the drawn time, outside any
-          canary — the controller must sense the SLO breach and
-          originate the rollback.
-        - ``max_flaky_limps`` (with ``instance_hosts`` naming hosts
-          that carry instances) rolls limp windows guaranteed to land
-          on instance-bearing hosts, so health quarantine and the
-          migrate-off-flaky-host policy actually fire.
+        Rules that need per-message randomness (slow-link jitter,
+        duplication, reordering) carry a sub-seed drawn here, keeping
+        the whole scenario a pure function of ``seed``.
         """
-        rng = random.Random(seed)
-        host_names = list(host_names)
-        eligible = [name for name in host_names if name not in protect]
-        crashes = []
-        if eligible and max_crashes > 0:
-            victims = rng.sample(
-                eligible, k=rng.randint(1, min(max_crashes, len(eligible)))
-            )
-            for name in victims:
-                crash_at = rng.uniform(1.0, duration_s * 0.4)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                crashes.append((name, crash_at, restart_at))
-        partitions = []
-        for __ in range(rng.randint(0, max_partitions)):
-            if len(host_names) < 2:
-                break
-            shuffled = list(host_names)
-            rng.shuffle(shuffled)
-            cut = rng.randint(1, len(shuffled) - 1)
-            start = rng.uniform(0.0, duration_s * 0.5)
-            end = start + rng.uniform(2.0, duration_s * 0.4)
-            partitions.append(
-                (
-                    [f"{name}/" for name in shuffled[:cut]],
-                    [f"{name}/" for name in shuffled[cut:]],
-                    start,
-                    end,
-                )
-            )
-        drops = []
-        for __ in range(rng.randint(0, max_drops)):
-            start = rng.uniform(0.0, duration_s * 0.6)
-            drops.append((rng.randint(1, 4), start, start + rng.uniform(1.0, 20.0)))
-        ico_hosts = [name for name in ico_hosts if name in host_names]
-        others = [name for name in host_names if name not in ico_hosts]
-        if ico_hosts and others and max_ico_partitions > 0:
-            for __ in range(rng.randint(1, max_ico_partitions)):
-                start = rng.uniform(0.0, duration_s * 0.25)
-                end = start + rng.uniform(5.0, duration_s * 0.5)
-                partitions.append(
-                    (
-                        [f"{name}/" for name in ico_hosts],
-                        [f"{name}/" for name in others],
-                        start,
-                        end,
-                    )
-                )
-        already_down = {name for name, __, __ in crashes}
-        fresh = [name for name in eligible if name not in already_down]
-        if fresh and mid_apply_crashes > 0:
-            victims = rng.sample(fresh, k=min(mid_apply_crashes, len(fresh)))
-            for name in victims:
-                crash_at = rng.uniform(0.6, 6.0)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                crashes.append((name, crash_at, restart_at))
-        already_down = {name for name, __, __ in crashes}
-        relay_eligible = [
-            name
-            for name in relay_hosts
-            if name in host_names and name not in protect and name not in already_down
-        ]
-        if relay_eligible and max_relay_crashes > 0:
-            victims = rng.sample(
-                relay_eligible, k=min(max_relay_crashes, len(relay_eligible))
-            )
-            for name in victims:
-                crash_at = rng.uniform(0.5, 8.0)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                crashes.append((name, crash_at, restart_at))
-        manager_hosts = [name for name in manager_hosts if name in host_names]
-        if manager_hosts and max_manager_partitions > 0:
-            primary = manager_hosts[0]
-            rest = [name for name in host_names if name != primary]
-            if rest:
-                for __ in range(rng.randint(1, max_manager_partitions)):
-                    start = rng.uniform(0.5, duration_s * 0.2)
-                    end = start + rng.uniform(6.0, duration_s * 0.35)
-                    partitions.append(
-                        (
-                            [f"{primary}/"],
-                            [f"{name}/" for name in rest],
-                            start,
-                            end,
-                        )
-                    )
-        if manager_hosts and max_failovers > 0:
-            already_down = {name for name, __, __ in crashes}
-            crash_at = rng.uniform(0.5, 6.0)
-            scheduled = 0
-            for name in manager_hosts:
-                if scheduled >= max_failovers:
-                    break
-                if name in protect or name in already_down:
-                    continue
-                restart_at = crash_at + rng.uniform(10.0, duration_s * 0.35)
-                crashes.append((name, crash_at, restart_at))
-                scheduled += 1
-                crash_at += rng.uniform(8.0, 20.0)
-        degradations = []
-        if max_degradations > 0:
-            # Strictly after every network/crash draw, preserving
-            # legacy seed schedules.  These are *version* faults, not
-            # network faults: the k-th deploy is a build that works but
-            # violates the SLO, which only a live traffic gate catches.
-            for __ in range(rng.randint(1, max_degradations)):
-                if rng.random() < 0.5:
-                    degradations.append(
-                        ("latency", round(rng.uniform(0.1, 0.5), 3))
-                    )
-                else:
-                    degradations.append(("errors", rng.randint(1, 3)))
-        # Gray kinds, strictly after everything above and in a fixed
-        # order relative to each other.
-        one_way = []
-        if gray_one_way > 0 and len(host_names) >= 2:
-            for __ in range(rng.randint(1, gray_one_way)):
-                victim = rng.choice(host_names)
-                rest = [name for name in host_names if name != victim]
-                start = rng.uniform(0.5, duration_s * 0.4)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                if rng.random() < 0.5:
-                    # The victim goes mute: its sends vanish, it still hears.
-                    one_way.append(([victim], rest, start, end))
-                else:
-                    # The victim goes deaf: it talks, nothing reaches it.
-                    one_way.append((rest, [victim], start, end))
-        flaps = []
-        if gray_flaps > 0 and len(host_names) >= 2:
-            for __ in range(rng.randint(1, gray_flaps)):
-                victim = rng.choice(host_names)
-                rest = [name for name in host_names if name != victim]
-                period = rng.uniform(2.0, 10.0)
-                down = period * rng.uniform(0.2, 0.6)
-                start = rng.uniform(0.5, duration_s * 0.4)
-                end = start + rng.uniform(8.0, duration_s * 0.4)
-                flaps.append((victim, rest, period, down, start, end))
-        slow_links = []
-        if gray_slow_links > 0 and len(host_names) >= 2:
-            for __ in range(rng.randint(1, gray_slow_links)):
-                victim = rng.choice(host_names)
-                rest = [name for name in host_names if name != victim]
-                extra = rng.uniform(0.05, 0.3)
-                jitter = rng.uniform(0.0, 0.2)
-                rule_seed = rng.randrange(2**32)
-                start = rng.uniform(0.5, duration_s * 0.4)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                slow_links.append(
-                    (victim, rest, extra, jitter, rule_seed, start, end)
-                )
-        duplicates = []
-        if gray_duplicates > 0:
-            for __ in range(rng.randint(1, gray_duplicates)):
-                probability = rng.uniform(0.05, 0.3)
-                spread = rng.uniform(0.005, 0.05)
-                rule_seed = rng.randrange(2**32)
-                start = rng.uniform(0.0, duration_s * 0.5)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                duplicates.append((probability, spread, rule_seed, start, end))
-        reorders = []
-        if gray_reorders > 0:
-            for __ in range(rng.randint(1, gray_reorders)):
-                probability = rng.uniform(0.05, 0.3)
-                skew = rng.uniform(0.002, 0.02)
-                rule_seed = rng.randrange(2**32)
-                start = rng.uniform(0.0, duration_s * 0.5)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                reorders.append((probability, skew, rule_seed, start, end))
-        limps = []
-        if gray_limps > 0 and host_names:
-            for __ in range(rng.randint(1, gray_limps)):
-                victim = rng.choice(host_names)
-                factor = rng.uniform(2.0, 8.0)
-                start = rng.uniform(0.5, duration_s * 0.4)
-                end = start + rng.uniform(5.0, duration_s * 0.4)
-                limps.append((victim, round(factor, 2), start, end))
-        # Shard-plane kinds (PR 9), strictly after every kind above —
-        # legacy seeds keep their exact schedules.
-        shard_crashes = []
-        already_down = {name for name, __, __ in crashes}
-        shard_eligible = [
-            name
-            for name in shard_hosts
-            if name in host_names and name not in protect and name not in already_down
-        ]
-        if shard_eligible and max_shard_crashes > 0:
-            victims = rng.sample(
-                shard_eligible, k=min(max_shard_crashes, len(shard_eligible))
-            )
-            for name in victims:
-                crash_at = rng.uniform(0.5, 8.0)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                shard_crashes.append((name, crash_at, restart_at))
-        map_staleness = []
-        if max_map_staleness > 0:
-            for __ in range(rng.randint(1, max_map_staleness)):
-                extra = round(rng.uniform(0.1, 1.5), 3)
-                start = rng.uniform(0.0, duration_s * 0.4)
-                end = start + rng.uniform(2.0, duration_s * 0.3)
-                map_staleness.append((extra, start, end))
-        rebalance_crashes = []
-        already_down |= {name for name, __, __ in shard_crashes}
-        rebalance_eligible = [
-            name
-            for name in shard_hosts
-            if name in host_names and name not in protect and name not in already_down
-        ]
-        if rebalance_eligible and mid_rebalance_crashes > 0:
-            victims = rng.sample(
-                rebalance_eligible,
-                k=min(mid_rebalance_crashes, len(rebalance_eligible)),
-            )
-            for name in victims:
-                crash_at = rng.uniform(1.0, 8.0)
-                restart_at = crash_at + rng.uniform(5.0, duration_s * 0.4)
-                rebalance_crashes.append(
-                    (name, crash_at, restart_at, rng.random())
-                )
-        # Controller kinds (PR 10), strictly after every kind above —
-        # legacy seeds keep their exact schedules.
-        bad_deploys = []
-        if max_bad_deploys > 0:
-            for __ in range(rng.randint(1, max_bad_deploys)):
-                at = rng.uniform(1.0, duration_s * 0.3)
-                if rng.random() < 0.5:
-                    added_latency_s, error_every = round(rng.uniform(0.2, 1.0), 3), 0
-                else:
-                    added_latency_s, error_every = 0.0, rng.randint(2, 4)
-                bad_deploys.append((at, added_latency_s, error_every))
-        flaky_limps = []
-        flaky_pool = [name for name in instance_hosts if name in host_names]
-        if flaky_pool and max_flaky_limps > 0:
-            for __ in range(rng.randint(1, max_flaky_limps)):
-                victim = rng.choice(flaky_pool)
-                factor = rng.uniform(4.0, 10.0)
-                start = rng.uniform(0.5, duration_s * 0.3)
-                end = start + rng.uniform(10.0, duration_s * 0.5)
-                flaky_limps.append((victim, round(factor, 2), start, end))
+        options = dict(locals())
+        del options["cls"]
+        plan = _Plan(**{**options, "host_names": list(host_names)}, down=set())
+        rng = DeterministicRNG(seed)
         return cls(
-            crashes=crashes,
-            partitions=partitions,
-            drops=drops,
-            degradations=degradations,
-            one_way=one_way,
-            flaps=flaps,
-            slow_links=slow_links,
-            duplicates=duplicates,
-            reorders=reorders,
-            limps=limps,
-            shard_crashes=shard_crashes,
-            map_staleness=map_staleness,
-            rebalance_crashes=rebalance_crashes,
-            bad_deploys=bad_deploys,
-            flaky_limps=flaky_limps,
+            **{
+                name: kind.draw(rng.stream(name), plan)
+                for name, kind in FAULT_KINDS.items()
+            }
         )
+
+    def records(self, *shapes):
+        """Every record of the given shapes, across all kinds."""
+        return [
+            fault
+            for faults in self.faults.values()
+            for fault in faults
+            if isinstance(fault, shapes)
+        ]
 
     @property
     def heal_time(self):
         """Time by which every fault has cleared (absolute once
         installed; an offset from install before that)."""
-        times = [0.0]
-        times += [restart_at for __, __, restart_at in self.crashes]
-        times += [end for __, __, __, end in self.partitions]
-        times += [end for __, __, end in self.drops]
-        times += [entry[-1] for entry in self.one_way]
-        times += [entry[-1] for entry in self.flaps]
-        times += [entry[-1] for entry in self.slow_links]
-        times += [entry[-1] for entry in self.duplicates]
-        times += [entry[-1] for entry in self.reorders]
-        times += [entry[-1] for entry in self.limps]
-        times += [restart_at for __, __, restart_at in self.shard_crashes]
-        times += [end for __, __, end in self.map_staleness]
-        times += [restart_at for __, __, restart_at, __ in self.rebalance_crashes]
-        times += [at for at, __, __ in self.bad_deploys]
-        times += [entry[-1] for entry in self.flaky_limps]
-        return max(times) + (self.installed_at or 0.0)
+        ends = [
+            FAULT_KINDS[name].ends(fault)
+            for name, faults in self.faults.items()
+            for fault in faults
+        ]
+        return max([0.0, *ends]) + (self.installed_at or 0.0)
 
     def install(self, runtime, coordinator, plane=None):
         """Arm the scenario on ``runtime`` via ``coordinator``'s plan.
 
         Generated times are *offsets*; they are rebased onto the
         current simulated time here, so a scenario can be installed on
-        a testbed that has already been running.
-
-        ``plane`` is an optional :class:`ShardedManagerPlane`; the
-        shard-plane kinds (map staleness windows, mid-rebalance
-        triggers) need it and are skipped without it — plain shard
-        crashes install either way.
+        a testbed that has already been running.  ``plane`` is an
+        optional :class:`ShardedManagerPlane`: map staleness windows and
+        mid-rebalance range moves need it and are skipped without it
+        (the rebalance crash itself still lands).
         """
         base = self.installed_at = runtime.sim.now
-        for name, crash_at, restart_at in self.crashes:
-            coordinator.crash_plan.schedule_outage(
-                runtime.host(name), base + crash_at, base + restart_at
-            )
-        for prefixes_a, prefixes_b, start, end in self.partitions:
-            runtime.network.faults.add_partition(
-                PrefixPartition(
-                    prefixes_a, prefixes_b, start=base + start, end=base + end
-                )
-            )
-        for count, start, end in self.drops:
-            runtime.network.faults.add_drop_rule(
-                DropRule(count=count, start=base + start, end=base + end)
-            )
-        faults = runtime.network.faults
-        for from_hosts, to_hosts, start, end in self.one_way:
-            faults.add_partition(
-                OneWayPartition(
-                    [f"{name}/" for name in from_hosts],
-                    [f"{name}/" for name in to_hosts],
-                    start=base + start,
-                    end=base + end,
-                )
-            )
-        for host, rest, period, down, start, end in self.flaps:
-            faults.add_partition(
-                LinkFlap(
-                    [f"{host}/"],
-                    [f"{name}/" for name in rest],
-                    period_s=period,
-                    down_s=down,
-                    start=base + start,
-                    end=base + end,
-                    label=f"flap:{host}",
-                )
-            )
-        for host, rest, extra, jitter, rule_seed, start, end in self.slow_links:
-            faults.add_delay_rule(
-                SlowLink(
-                    [f"{host}/"],
-                    [f"{name}/" for name in rest],
-                    extra_s=extra,
-                    jitter_s=jitter,
-                    seed=rule_seed,
-                    start=base + start,
-                    end=base + end,
-                    label=f"slow:{host}",
-                )
-            )
-        for probability, spread, rule_seed, start, end in self.duplicates:
-            faults.add_duplicate_rule(
-                DuplicateRule(
-                    probability,
-                    spread_s=spread,
-                    seed=rule_seed,
-                    start=base + start,
-                    end=base + end,
-                )
-            )
-        for probability, skew, rule_seed, start, end in self.reorders:
-            faults.add_delay_rule(
-                ReorderRule(
-                    probability,
-                    max_skew_s=skew,
-                    seed=rule_seed,
-                    start=base + start,
-                    end=base + end,
-                )
-            )
-        for host_name, factor, start, end in self.limps:
-            runtime.sim.spawn(
-                self._limp_window(runtime, host_name, factor, base + start, base + end),
-                name=f"limp:{host_name}@{start:g}",
-            )
-        for name, crash_at, restart_at in self.shard_crashes:
-            coordinator.crash_plan.schedule_outage(
-                runtime.host(name), base + crash_at, base + restart_at
-            )
-        if self.map_staleness and plane is not None:
-            for extra, start, end in self.map_staleness:
-                plane.map.add_staleness_window(extra, base + start, base + end)
-        for name, crash_at, restart_at, pick in self.rebalance_crashes:
-            coordinator.crash_plan.schedule_outage(
-                runtime.host(name), base + crash_at, base + restart_at
-            )
-            if plane is not None:
-                runtime.sim.spawn(
-                    self._rebalance_trigger(
-                        runtime, plane, name, base + crash_at, pick
-                    ),
-                    name=f"rebalance:{name}@{crash_at:g}",
-                )
-        # bad_deploys are harness-driven (like degradations): staging
-        # and adopting the degraded build needs a manager, which the
-        # schedule does not hold.
-        for host_name, factor, start, end in self.flaky_limps:
-            runtime.sim.spawn(
-                self._limp_window(runtime, host_name, factor, base + start, base + end),
-                name=f"flaky-limp:{host_name}@{start:g}",
-            )
-
-    @staticmethod
-    def _rebalance_trigger(runtime, plane, victim, crash_time, pick):
-        """Process body: start a live range move just before a crash.
-
-        Fires a hair *before* ``crash_time`` — inside the handoff's
-        per-row copy window — so the crash lands while rows are still
-        in flight.  The source shard is the one homed on the crash
-        victim when there is one (the crash then always hits a handoff
-        participant); ``pick`` deterministically selects otherwise, and
-        the target is the source's successor in shard id order.
-        Aborted handoffs (dead source or target) are the scenario
-        working as intended, not an error.
-        """
-        from repro.core.shardplane import HandoffAborted
-        from repro.legion.errors import LegionError
-        from repro.net import TransportError
-
-        sim = runtime.sim
-        lead = min(0.0002, max(0.0, crash_time - sim.now))
-        yield sim.timeout(max(0.0, crash_time - sim.now - lead), daemon=True)
-        shard_ids = sorted(plane.shard_ids)
-        if len(shard_ids) < 2:
-            return
-        source = None
-        for shard_id in shard_ids:
-            manager = plane.shards.get(shard_id)
-            if manager is not None and manager.host.name == victim:
-                source = shard_id
-                break
-        if source is None:
-            source = shard_ids[int(pick * len(shard_ids)) % len(shard_ids)]
-        target = shard_ids[(shard_ids.index(source) + 1) % len(shard_ids)]
-        spans = plane.map.current.spans_of(source)
-        if not spans:
-            return
-        lo, hi = spans[0]
-        if hi - lo < 2:
-            return
-        half = (lo + (hi - lo) // 2, hi)
-        try:
-            yield from plane.move_range(half, target, mode="fast")
-        except (HandoffAborted, LegionError, TransportError, ValueError, KeyError):
-            # The crash landed mid-handoff and aborted it — exactly the
-            # scenario this kind exists to exercise.
-            return
-
-    @staticmethod
-    def _limp_window(runtime, host_name, factor, start, end):
-        """Process body: degrade a host's service times, then heal."""
-        sim = runtime.sim
-        yield sim.timeout(start - sim.now, daemon=True)
-        host = runtime.host(host_name)
-        host.set_limp(factor, slow_nic=True)
-        yield sim.timeout(end - sim.now, daemon=True)
-        host.clear_limp()
+        for name, faults in self.faults.items():
+            install = FAULT_KINDS[name].install
+            for fault in faults if install is not None else ():
+                rebased = fault._replace(start=base + fault.start, end=base + fault.end)
+                install(rebased, runtime, coordinator, plane)
 
     def __repr__(self):
-        gray = (
-            len(self.one_way)
-            + len(self.flaps)
-            + len(self.slow_links)
-            + len(self.duplicates)
-            + len(self.reorders)
-            + len(self.limps)
+        counts = " ".join(
+            f"{name}={len(faults)}" for name, faults in self.faults.items() if faults
         )
-        shard = (
-            len(self.shard_crashes)
-            + len(self.map_staleness)
-            + len(self.rebalance_crashes)
-        )
-        controller = len(self.bad_deploys) + len(self.flaky_limps)
-        return (
-            f"<ChaosSchedule crashes={len(self.crashes)} "
-            f"partitions={len(self.partitions)} drops={len(self.drops)} "
-            f"degradations={len(self.degradations)} gray={gray} "
-            f"shard={shard} controller={controller}>"
-        )
+        return f"<ChaosSchedule {counts or 'no faults'}>"
 
 
 def drive_to_convergence(

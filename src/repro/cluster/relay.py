@@ -395,12 +395,12 @@ class HostRelay(LegionObject):
         def forward(span):
             start, stop = span
             __, child_relay, child_binding = roster[start]
-            cache = self.invoker.binding_cache
-            if child_binding is not None and child_relay not in cache:
+            if child_binding is not None:
                 # The roster ships bindings (a membership list carries
                 # addresses): child resolves must not funnel through
-                # the central binding agent's one port.
-                cache.put(child_binding)
+                # the central binding agent's one port.  A reseeded
+                # roster's newer incarnation replaces a cached one.
+                self.invoker.binding_cache.put(child_binding)
             child_bundle = dict(bundle, lo=start, hi=stop)
             try:
                 ack = yield from self.invoker.invoke(

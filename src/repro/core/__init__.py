@@ -52,6 +52,7 @@ from repro.core.errors import (
     ComponentNotIncorporated,
     DCDOError,
     DependencyViolation,
+    DiffBaseMismatch,
     EvolutionDisallowed,
     FunctionNotEnabled,
     FunctionNotExported,
@@ -148,6 +149,7 @@ __all__ = [
     "RemovePolicy",
     "ReplicationLink",
     "RollbackFailed",
+    "DiffBaseMismatch",
     "StandbyReplica",
     "ManagerState",
     "HASH_SPACE",

@@ -23,6 +23,7 @@ from repro.core import validation
 from repro.core.dfm import DynamicFunctionMapper
 from repro.core.errors import (
     ComponentBusy,
+    DiffBaseMismatch,
     FunctionNotEnabled,
     FunctionNotExported,
     RollbackFailed,
@@ -69,6 +70,9 @@ class EvolutionPhase(enum.Enum):
     """Where an instance stands in its evolution transaction."""
 
     IDLE = "idle"
+    #: The manager is still building the instance's first
+    #: configuration: it is live but holds no version yet.
+    BUILDING = "building"
     PREPARING = "preparing"
     COMMITTING = "committing"
     ROLLING_BACK = "rolling-back"
@@ -154,6 +158,8 @@ class DCDO(LegionObject):
         self.rollbacks = 0
         self._applying = {}
         self._txn = None
+        #: True while the manager builds the first configuration.
+        self.building = False
         self._register_dcdo_interface()
 
     # ------------------------------------------------------------------
@@ -204,11 +210,11 @@ class DCDO(LegionObject):
 
     @property
     def evolution_phase(self):
-        """The current :class:`EvolutionPhase` (IDLE when no
+        """The current :class:`EvolutionPhase` (IDLE when built and no
         ``applyConfiguration`` transaction is in flight)."""
-        if self._txn is None:
-            return EvolutionPhase.IDLE
-        return self._txn.phase
+        if self._txn is not None:
+            return self._txn.phase
+        return EvolutionPhase.BUILDING if self.building else EvolutionPhase.IDLE
 
     @property
     def remove_policy(self):
@@ -529,6 +535,11 @@ class DCDO(LegionObject):
         application waits for it rather than interleaving half-applied
         steps.  Per-version application counters make the exactly-once
         *effect* checkable from outside.
+
+        A diff computed from another version than this instance's own
+        (``diff.base_version``) is refused with :class:`DiffBaseMismatch`
+        before anything changes: its add/remove lists would leave the
+        instance a blend of two versions.
         """
         target = diff.target_version
         while target is not None:
@@ -545,6 +556,8 @@ class DCDO(LegionObject):
             self.duplicate_deliveries += 1
             self._network_count("dcdo.duplicate_deliveries")
             yield in_flight
+        if diff.base_version != self._version:
+            raise DiffBaseMismatch(diff.base_version, self._version)
         if target is not None:
             gate = self._applying[target] = self.sim.event(
                 name=f"{self.loid}.applying:{target}"

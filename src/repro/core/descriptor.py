@@ -65,6 +65,10 @@ class ConfigurationDiff:
     components_to_remove: list = field(default_factory=list)
     entry_changes: int = 0
     target_version: object = None
+    #: The version the diff was computed from (None: an unconfigured
+    #: instance).  A DCDO refuses a diff whose base is not its own
+    #: version: applied elsewhere it would blend two versions.
+    base_version: object = None
     #: False for compensating (wave-rollback) diffs: returning to the
     #: prior version may legitimately weaken §3.2 markings the aborted
     #: version had introduced, so the prepare-time transition-rule

@@ -133,6 +133,25 @@ class RollbackFailed(DCDOError):
         self.rollback_error = rollback_error
 
 
+class DiffBaseMismatch(VersionError):
+    """A configuration diff was computed from a version the instance is
+    not at.
+
+    Applied anyway it would blend two versions: a v1→v2 diff on an
+    instance rebuilt with no configuration adds only v2's new
+    components.  Carries the instance's ``actual_version`` so the
+    manager can re-diff from it.
+    """
+
+    def __init__(self, base_version, actual_version):
+        super().__init__(
+            f"diff from version {base_version} refused by an instance at "
+            f"{actual_version}"
+        )
+        self.base_version = base_version
+        self.actual_version = actual_version
+
+
 class ManagerRecoveryError(DCDOError):
     """Manager recovery could not proceed (e.g. no live host to run on).
 

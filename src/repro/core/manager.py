@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.core.dcdo import DCDO, RemovePolicy
 from repro.core.descriptor import DFMDescriptor, diff_descriptors
 from repro.core.errors import (
+    DiffBaseMismatch,
     EvolutionDisallowed,
     UnknownVersion,
     VersionNotConfigurable,
@@ -696,6 +697,9 @@ class DCDOManager(ClassObject):
             remove_policy=self._remove_policy,
         )
         self._runtime.attach_object(obj)
+        # Reachable from activation on, but half-built until the
+        # version is set: report it as building meanwhile.
+        obj.building = True
         yield from obj.activate()
         try:
             for component_id in sorted(descriptor.component_ids):
@@ -704,6 +708,7 @@ class DCDOManager(ClassObject):
             obj.dfm.apply_entry_states(descriptor)
             obj.dfm.adopt_restrictions(descriptor)
             obj.set_version(version)
+            obj.building = False
         except Exception:
             # A failed component fetch must not leave a half-configured
             # but reachable DCDO behind: journal replays and recovery
@@ -812,22 +817,31 @@ class DCDOManager(ClassObject):
                 if self.invoker.term_source is not None:
                     yield from self.invoker.invoke(loid, "getVersion", ())
                 return from_version
-            current_descriptor = (
-                self.version_record(from_version).descriptor
-                if from_version is not None
-                else DFMDescriptor()
-            )
-            diff = diff_descriptors(current_descriptor, target_record.descriptor)
-            diff.target_version = target_version
-            diff.enforce_restrictions = enforce_policy
-            # Generous per-attempt timeouts (downloads can take tens of
-            # seconds) with retries; applyConfiguration is idempotent.
-            yield from self.invoker.invoke(
-                loid,
-                "applyConfiguration",
-                (diff,),
-                timeout_schedule=(60.0, 120.0, 600.0),
-            )
+            def ship(diff):
+                # Generous per-attempt timeouts (downloads can take tens
+                # of seconds) with retries; applyConfiguration is
+                # idempotent.
+                return self.invoker.invoke(
+                    loid,
+                    "applyConfiguration",
+                    (diff,),
+                    timeout_schedule=(60.0, 120.0, 600.0),
+                )
+
+            try:
+                yield from ship(
+                    self._diff_between(from_version, target_version, enforce_policy)
+                )
+            except DiffBaseMismatch as refusal:
+                # The instance is not at the version the table holds
+                # (e.g. rebuilt and not yet configured): re-diff from
+                # where it really is.
+                self._count("evolution.rediffs")
+                yield from ship(
+                    self._diff_between(
+                        refusal.actual_version, target_version, enforce_policy
+                    )
+                )
             self._commit("instance-version", loid=loid, version=target_version)
             if record.active:
                 record.version_tag = str(target_version)
@@ -835,6 +849,20 @@ class DCDOManager(ClassObject):
         finally:
             lock.release()
         return target_version
+
+    def _diff_between(self, from_version, target_version, enforce_restrictions=True):
+        """The :class:`ConfigurationDiff` taking an instance at
+        ``from_version`` (None: unconfigured) to ``target_version``."""
+        diff = diff_descriptors(
+            self.version_record(from_version).descriptor
+            if from_version is not None
+            else DFMDescriptor(),
+            self.version_record(target_version).descriptor,
+        )
+        diff.base_version = from_version
+        diff.target_version = target_version
+        diff.enforce_restrictions = enforce_restrictions
+        return diff
 
     def try_evolve_instance(self, loid, target_version=None):
         """Generator: evolve, treating policy vetoes as "stay put"."""
@@ -1074,7 +1102,6 @@ class DCDOManager(ClassObject):
         sim = self._runtime.sim
         directory = self._relay_directory
         version = tracker.version
-        target_record = self.version_record(version)
         batchable = []
         for loid in tracker.pending_loids():
             try:
@@ -1122,17 +1149,9 @@ class DCDOManager(ClassObject):
                     continue
                 diff = diff_cache.get(from_version)
                 if diff is None:
-                    current_descriptor = (
-                        self.version_record(from_version).descriptor
-                        if from_version is not None
-                        else DFMDescriptor()
+                    diff = diff_cache[from_version] = self._diff_between(
+                        from_version, version
                     )
-                    diff = diff_descriptors(
-                        current_descriptor, target_record.descriptor
-                    )
-                    diff.target_version = version
-                    diff.enforce_restrictions = True
-                    diff_cache[from_version] = diff
                 host_jobs.setdefault(host_name, []).append((loid, diff))
             if host_jobs:
                 yield from self._drive_relay_wave(
@@ -1291,6 +1310,14 @@ class DCDOManager(ClassObject):
                     self._fail_delivery(tracker, loid, value)
                 else:
                     tracker.delivery(loid).last_error = value
+                    if isinstance(value, DiffBaseMismatch):
+                        # Re-diff from the instance's real version for
+                        # the next round.
+                        self._count("evolution.rediffs")
+                        rediff = self._diff_between(value.actual_version, version)
+                        remaining[host] = [
+                            (l, rediff if l == loid else diff) for l, diff in jobs
+                        ]
                     continue
                 remaining[host] = [job for job in jobs if job[0] != loid]
             remaining = {host: jobs for host, jobs in remaining.items() if jobs}
@@ -1763,7 +1790,10 @@ class DCDOManager(ClassObject):
         for version in list(self.state.propagations):
             tracker = self.state.propagations[version]
             canary = self.state.canaries.get(version)
-            if canary is not None and canary.breached and not tracker.aborted:
+            breached = canary is not None and canary.breached
+            # Every delivery may have acked before the abort was decided:
+            # a complete wave can still owe its rollback.
+            if (tracker.aborting or breached) and not tracker.aborted:
                 yield from self._finish_abort(tracker)
                 continue
             if tracker.complete:
@@ -2170,7 +2200,14 @@ class DCDOManager(ClassObject):
             host = obj.host
             self._instance_impl_types[loid] = obj.implementation_type
         process = host.process_for(loid) if host.is_up else None
-        active = obj is not None and obj.is_active and process is not None
+        # An object another incarnation is still building is not live
+        # yet: if that build fails, an adopted record would never heal.
+        active = (
+            obj is not None
+            and obj.is_active
+            and not obj.building
+            and process is not None
+        )
         self._instances[loid] = InstanceRecord(
             loid=loid,
             obj=obj,

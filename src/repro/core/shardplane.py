@@ -51,6 +51,10 @@ HANDOFF_ROW_S = 0.00005
 #: Poll interval while a create waits out a handoff of its slot.
 HANDOFF_WAIT_S = 0.01
 
+#: Longest a handoff waits for the target's standby to hold the adopted
+#: rows (two replication ship timeouts) before it aborts instead.
+HANDOFF_REPLICATION_S = 10.0
+
 
 class HandoffAborted(Exception):
     """A shard involved in a rebalance died before the map committed."""
@@ -550,6 +554,8 @@ class ShardedManagerPlane:
                         f"(s{source_id}→s{target_id})"
                     )
                 target.adopt_rows(rows)
+            for target_id in sorted({target_id for __, __, target_id in moves}):
+                yield from self._await_standby(target_id)
             yield from self.map.apply(new_map, mode=mode)
             for span, source_id, __ in moves:
                 self.shard_manager(source_id).release_span(span)
@@ -557,6 +563,23 @@ class ShardedManagerPlane:
         finally:
             for span in spans:
                 self._mid_handoff.remove(span)
+
+    def _await_standby(self, shard_id):
+        """Generator: wait until ``shard_id``'s standby holds its journal.
+
+        The epoch bump is the commit point, so the adopted rows must be
+        replicated before it: a target failover right after the commit
+        would otherwise promote a standby that never saw them, and the
+        source has already released them.
+        """
+        sim = self.runtime.sim
+        supervisor = self._supervisors.get(shard_id)
+        link = supervisor.link if supervisor is not None else None
+        deadline = sim.now + HANDOFF_REPLICATION_S
+        while link is not None and link.lag:
+            if sim.now >= deadline or not self.shard_manager(shard_id).is_active:
+                raise HandoffAborted(f"s{shard_id}'s standby never caught up")
+            yield sim.timeout(HANDOFF_WAIT_S)
 
     @staticmethod
     def _diff_moves(old_map, new_map):

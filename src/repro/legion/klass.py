@@ -288,6 +288,11 @@ class ClassObject(LegionObject):
             if record.active:
                 raise ValueError(f"instance {loid} is already active")
             live = self._runtime.live_object(loid)
+            # Another incarnation may be mid-build: adopt the instance
+            # once built, rebuild it if the build fails (that
+            # deactivates it).
+            while getattr(live, "building", False) and live.is_active:
+                yield self.sim.timeout(1.0)
             if live is not None and live.is_active and live.host.is_up:
                 # Another class-object incarnation already rebuilt this
                 # instance (recovery racing a manager promotion): adopt

@@ -28,6 +28,8 @@ from repro.workloads import (
     make_noop_manager,
 )
 
+pytestmark = pytest.mark.chaos
+
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
 )

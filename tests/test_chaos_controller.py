@@ -18,106 +18,61 @@ Acceptance invariants, every seed:
   violations (denials are the races *avoided*), and the remediation
   lease is never held under a stale term when the controller acts;
 - journal hygiene: every controller intent on the surviving authority
-  is closed (done, failed, or orphaned by GC) — nothing dangles.
+  is closed (done, failed, or orphaned by GC) — nothing dangles;
+- across the sweep, every seed's controller completed a rollback.
 
-``CHAOS_EXTRA_SEEDS`` (env) widens the sweep in CI.  Unit coverage for
-the controller pieces lives in ``tests/test_controller.py``.
+Unit coverage for the controller pieces lives in
+``tests/test_controller.py``.
 """
-
-import os
 
 import pytest
 
-from repro.cluster import (
-    ReactiveController,
-    Supervisor,
-    build_lan,
-    convergence_guard,
-)
-from repro.cluster.chaos import ChaosCoordinator, ChaosSchedule
-from repro.core import ManagerJournal, RemovePolicy
+from repro.cluster import ReactiveController, convergence_guard
 from repro.core.policies import (
     DemoteDegradedVersion,
     MigrateOffFlakyHost,
     PrewarmBlobCaches,
-    ReliableUpdatePolicy,
 )
-from repro.legion import LegionRuntime
-from repro.net import RetryPolicy
-from repro.obs import SLO
-from repro.workloads import (
-    OpenLoopLoad,
-    PoissonArrivals,
-    build_degraded_version,
-    make_noop_manager,
+from repro.workloads import build_degraded_version
+
+from tests.chaos_harness import (
+    CLIENT_HOST,
+    DETECTOR_HOST,
+    FAST_RETRY,
+    MANAGER_HOST,
+    RELIABLE,
+    STANDBY_HOSTS,
+    SweepRecord,
+    assert_converged,
+    converged,
+    roll,
+    run_chaos,
+    serve_traffic,
+    service_fleet,
+    settle,
+    supervise,
+    sweep,
 )
 
-from tests.invariants import assert_never_half_applied
+pytestmark = pytest.mark.chaos
 
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
-)
-
-MANAGER_HOST = "host00"
-STANDBY_HOSTS = ("host02", "host03")
-DETECTOR_HOST = "host04"
-CLIENT_HOST = "host05"
-INSTANCE_HOSTS = ("host01", "host02", "host03")
-
-INSTANCES = 6
-CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
-
-#: Controller rollbacks and migrations per seed, checked in aggregate:
-#: the sweep must actually exercise the remediation paths it certifies.
-ROLLBACKS = {}
-MIGRATIONS = {}
+ROLLBACKS = SweepRecord("some seed converged without a controller rollback", every=True)
 
 
-def build_fleet(sim_seed):
-    runtime = LegionRuntime(build_lan(6, seed=sim_seed))
-    journal = ManagerJournal(name="Svc")
-    manager, __ = make_noop_manager(
-        runtime,
-        "Svc",
-        2,
-        3,
-        journal=journal,
-        host_name=MANAGER_HOST,
-        propagation_retry_policy=FAST_RETRY,
-        update_policy=ReliableUpdatePolicy(retry_policy=FAST_RETRY),
-        remove_policy=RemovePolicy.timeout(2.0),
-    )
-    loids = [
-        runtime.sim.run_process(
-            manager.create_instance(
-                host_name=f"host{(index % 3) + 1:02d}"
-            )
-        )
-        for index in range(INSTANCES)
-    ]
-    return runtime, manager, journal, loids
-
-
-@pytest.mark.parametrize("seed", range(CHAOS_SEEDS))
+@sweep()
 def test_chaos_controller_selfheals(seed):
     """Seeded bad deploy + flaky hosts + crashes + failover: the
     controller must detect, decide, and remediate on its own, with the
     full invariant set intact on whichever manager survives."""
-    runtime, manager, journal, loids = build_fleet(sim_seed=3100 + seed)
-    sim = runtime.sim
+    instance_hosts = ("host01", "host02", "host03")
+    fleet = service_fleet(3100 + seed, 6, instance_hosts, update_policy=RELIABLE)
+    runtime, manager, loids = fleet.runtime, fleet.manager, fleet.loids
     v1 = manager.current_version
     runtime.network.enable_health()
     if seed % 2 == 0:
         manager.invoker.enable_adaptive_timeouts()
         manager.invoker.enable_hedging()
-
-    supervisor = Supervisor(
-        runtime,
-        "Svc",
-        standby_hosts=STANDBY_HOSTS,
-        detector_host_name=DETECTOR_HOST,
-        retry_policy=FAST_RETRY,
-    ).start()
+    supervisor = supervise(fleet)
     controller = ReactiveController(
         runtime,
         "Svc",
@@ -130,11 +85,10 @@ def test_chaos_controller_selfheals(seed):
         interval_s=1.0,
         retry_policy=FAST_RETRY,
     ).start()
-
-    coordinator = ChaosCoordinator(runtime, journals={})
-    schedule = ChaosSchedule.generate(
+    schedule = roll(
+        fleet,
         seed,
-        list(runtime.hosts),
+        supervised=True,
         duration_s=90.0,
         max_crashes=1 if seed % 4 == 2 else 0,
         max_partitions=1 if seed % 5 == 3 else 0,
@@ -142,152 +96,85 @@ def test_chaos_controller_selfheals(seed):
         manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
         max_manager_partitions=1 if seed % 3 == 0 else 0,
         max_failovers=seed % 2,
-        instance_hosts=INSTANCE_HOSTS,
+        instance_hosts=instance_hosts,
         max_bad_deploys=1,
         max_flaky_limps=1 if seed % 2 == 1 else 0,
     )
     assert schedule.bad_deploys, "every seed must stage a bad deploy"
-    deploy_at, added_latency_s, error_every = schedule.bad_deploys[0]
+    deploy = schedule.bad_deploys[0]
     v2 = build_degraded_version(
-        manager, added_latency_s=added_latency_s, error_every=error_every
+        manager, added_latency_s=deploy.added_latency_s, error_every=deploy.error_every
     )
-    schedule.install(runtime, coordinator)
+    __, load = serve_traffic(fleet, min_samples=20, duration_s=800.0)
 
-    slo = SLO(
-        name="svc",
-        latency_targets={0.99: 0.050},
-        max_error_rate=0.02,
-        min_samples=20,
-    )
-    monitor = runtime.network.slo_monitor("svc", slo=slo, window_s=6.0)
-    load = OpenLoopLoad(
-        runtime.make_client(host_name=CLIENT_HOST),
-        loids,
-        PoissonArrivals(30.0),
-        runtime.rng.stream("traffic"),
-        monitor=monitor,
-        duration_s=800.0,
-    )
-    load.start()
-
-    deploy_abs = schedule.installed_at + deploy_at
-
-    def rollback_done():
+    def rolled_back():
         return any(
-            entry["policy"] == "demote-degraded-version"
-            and entry["outcome"] == "done"
+            entry["policy"] == "demote-degraded-version" and entry["outcome"] == "done"
             for entry in controller.remediation_log
         )
 
-    def scenario():
+    def push():
         # The unguarded adoption: an operator pushes the bad build with
         # no canary watching.  Only the controller can save the fleet.
-        if sim.now < deploy_abs:
-            yield sim.timeout(deploy_abs - sim.now)
         current = supervisor.manager
         if current.is_active and not current.deposed:
             current.set_current_version_async(v2)
-        heal = schedule.heal_time + 1.0
-        if sim.now < heal:
-            yield sim.timeout(heal - sim.now)
-        assert_never_half_applied(
-            supervisor.manager, loids, f"seed {seed} at heal"
-        )
-        deadline = sim.now + 420.0
-        while sim.now < deadline:
-            current = supervisor.manager
-            if current.is_active and not current.deposed:
-                if (
-                    current.current_version == v1
-                    and not rollback_done()
-                    and not current.open_remediations()
-                ):
-                    # The crash beat the sync journal ship: the promoted
-                    # authority recovered with no record of the bad
-                    # designation, so the operator's never-acknowledged
-                    # push retries against it — the controller must
-                    # still catch and demote it.  (Open intents pause
-                    # the retry: mid-demote the designation is already
-                    # back at the parent by design.)
-                    current.set_current_version_async(v2)
-                elif (
-                    rollback_done()
-                    and current.current_version == v1
-                    and all(
-                        current.record(loid).active
-                        and current.record(loid).obj.version == v1
-                        for loid in loids
-                    )
-                ):
-                    break
-            yield sim.timeout(5.0)
+
+    def healed():
+        current = supervisor.manager
+        if (
+            current.is_active
+            and not current.deposed
+            and current.current_version == v1
+            and not rolled_back()
+            and not current.open_remediations()
+        ):
+            # The crash beat the sync journal ship: the promoted
+            # authority recovered with no record of the bad designation,
+            # so the operator's never-acknowledged push retries against
+            # it — the controller must still catch and demote it.
+            # (Open intents pause the retry: mid-demote the designation
+            # is already back at the parent by design.)
+            current.set_current_version_async(v2)
+            return False
+        return rolled_back() and converged(current, loids, v1)
+
+    def converge():
+        yield from settle(runtime.sim, healed)
         load.stop()
         controller.stop()
         supervisor.stop()
 
-    sim.run_process(scenario())
-    sim.run()
-
-    current = supervisor.manager
-    assert current.is_active and not current.deposed, (
-        f"seed {seed}: no live authority after chaos ({schedule!r})"
+    run_chaos(
+        fleet,
+        schedule,
+        push,
+        (v1, v2),
+        f"seed {seed}",
+        at=deploy.at,
+        authority=lambda: supervisor.manager,
+        converge=converge,
     )
-
+    current = supervisor.manager
     # The controller-originated rollback converged: official version
     # and every instance back on v1, exactly-once per version.
-    assert current.current_version == v1, (
-        f"seed {seed}: fleet still designated {current.current_version} "
-        f"(controller log: {controller.remediation_log})"
-    )
-    assert_never_half_applied(current, loids, f"seed {seed} converged")
-    for loid in loids:
-        record = current.record(loid)
-        assert record.active, f"seed {seed}: {loid} never recovered"
-        obj = record.obj
-        assert obj.version == v1, (
-            f"seed {seed}: {loid} stuck at {obj.version} "
-            f"(controller log: {controller.remediation_log})"
-        )
-        assert obj.applications_by_version.get(v2, 0) <= 1, (
-            f"seed {seed}: {loid} applied {v2} "
-            f"{obj.applications_by_version.get(v2)} times"
-        )
-        assert (obj.observed_manager_term or 0) <= current.term, (
-            f"seed {seed}: {loid} observed a term from the future"
-        )
-
+    context = f"seed {seed} (controller log: {controller.remediation_log})"
+    assert_converged(current, loids, v1, context, once=v2)
     # No supervisor fight: the guard's discipline held everywhere.
     guard = convergence_guard(runtime)
     assert guard.violations == 0, (
         f"seed {seed}: {guard.violations} convergence-guard violations"
     )
-
     # Journal hygiene: nothing the controller started dangles open on
     # the surviving authority (done, failed, or orphaned — all closed).
-    open_now = current.open_remediations()
-    assert open_now == [], (
-        f"seed {seed}: dangling remediation intents {open_now}"
+    assert current.open_remediations() == [], (
+        f"seed {seed}: dangling remediation intents {current.open_remediations()}"
     )
-
-    rollbacks = [
-        entry
-        for entry in controller.remediation_log
-        if entry["policy"] == "demote-degraded-version"
-        and entry["outcome"] == "done"
-    ]
-    assert rollbacks, (
-        f"seed {seed}: controller never completed a rollback "
-        f"(log: {controller.remediation_log})"
-    )
+    assert rolled_back(), f"{context}: controller never completed a rollback"
     ROLLBACKS[seed] = runtime.network.count_value("controller.rollbacks")
-    MIGRATIONS[seed] = runtime.network.count_value("controller.migrations")
 
 
 def test_controller_paths_exercised_across_sweep():
-    """Aggregate sanity: the sweep must have driven real remediations —
-    a rollback on every seed, and at least one quarantine-driven
-    migration somewhere (else the flaky-limp kind proved nothing)."""
-    assert ROLLBACKS, "sweep did not run before the aggregate check"
-    assert all(count >= 1 for count in ROLLBACKS.values()), (
-        f"some seed converged without a controller rollback: {ROLLBACKS}"
-    )
+    """Aggregate sanity: the sweep must have driven a real rollback on
+    every seed."""
+    ROLLBACKS.check()

@@ -6,120 +6,70 @@ reflects the latest instantiable version, with each configuration
 applied exactly once per live object (at-least-once delivery, idempotent
 application → exactly-once effect).  A dedicated test crashes the
 manager mid-propagation and shows journal recovery finishing the wave
-without re-deriving the version or double-applying.
+without re-deriving the version or double-applying.  The schedule
+generator's own contract — determinism and per-kind stream
+independence — is checked here too.
 """
+
+import inspect
+from functools import partial
 
 import pytest
 
-from repro.cluster import build_lan
 from repro.cluster.chaos import (
+    FAULT_KINDS,
     ChaosCoordinator,
     ChaosSchedule,
+    Outage,
     crash_host,
-    drive_to_convergence,
 )
-from repro.core import DeliveryStatus, ManagerJournal, recover_manager
-from repro.core.policies import ReliableUpdatePolicy
-from repro.legion import LegionRuntime
-from repro.net import PrefixPartition, RetryPolicy
+from repro.core import DeliveryStatus, recover_manager
+from repro.net import PrefixPartition
 
-from tests.conftest import create_dcdo, make_sorter_manager
+from tests.chaos_harness import (
+    RELIABLE,
+    assert_converged,
+    converge_fleet,
+    derive_v2,
+    roll,
+    run_chaos,
+    sorter_fleet,
+    sweep,
+)
 
-# Tight-ish retry policy so chaos runs converge in bounded sim time.
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
+pytestmark = pytest.mark.chaos
+
+#: The manager lives on host00 with its components, so schedules that
+#: crash host00 exercise manager recovery; one instance per host.
+build_fleet = partial(
+    sorter_fleet,
+    hosts=5,
+    instance_hosts=("host00", "host01", "host02", "host03"),
+    pin_ico=False,
+    update_policy=RELIABLE,
 )
 
 
-def build_fleet(sim_seed=7, hosts=5, instances=4, **manager_kwargs):
-    """A LAN runtime + journaled sorter manager + instances spread out.
-
-    The manager lives on host00 (the default), so schedules that crash
-    host00 exercise manager recovery; instances land one per host.
-    """
-    runtime = LegionRuntime(build_lan(hosts, seed=sim_seed))
-    journal = ManagerJournal(name="Sorter")
-    manager = make_sorter_manager(
-        runtime,
-        update_policy=ReliableUpdatePolicy(retry_policy=FAST_RETRY),
-        journal=journal,
-        propagation_retry_policy=FAST_RETRY,
-        **manager_kwargs,
-    )
-    host_names = list(runtime.hosts)
-    loids = []
-    for index in range(instances):
-        loid, __ = create_dcdo(
-            runtime, manager, host_name=host_names[index % len(host_names)]
-        )
-        loids.append(loid)
-    return runtime, manager, journal, loids
-
-
-def derive_v2(manager):
-    """Derive the descending-sort version from the current version."""
-    version = manager.derive_version(manager.current_version)
-    manager.incorporate_into(version, "compare-desc")
-    manager.descriptor_of(version).enable(
-        "compare", "compare-desc", replace_current=True
-    )
-    manager.mark_instantiable(version)
-    return version
-
-
-@pytest.mark.parametrize("seed", range(20))
+@sweep()
 def test_chaos_schedule_converges_exactly_once(seed):
-    """Across 20 seeded fault schedules: all survivors converge to the
+    """Across the seeded fault schedules: all survivors converge to the
     latest version and no object applies it more than once."""
-    runtime, manager, journal, loids = build_fleet(sim_seed=100 + seed)
-    original_objs = {loid: manager.record(loid).obj for loid in loids}
-    coordinator = ChaosCoordinator(runtime, journals={"Sorter": journal})
-    schedule = ChaosSchedule.generate(
-        seed, list(runtime.hosts), duration_s=120.0
+    fleet = build_fleet(100 + seed)
+    manager = fleet.manager
+    originals = {loid: manager.record(loid).obj for loid in fleet.loids}
+    schedule = roll(fleet, seed)
+    versions = (manager.current_version, derive_v2(manager))
+    # A rebuilt (crash-recovered) object may legitimately have been
+    # *built* at v2 rather than evolved to it — zero applications.
+    run_chaos(
+        fleet,
+        schedule,
+        lambda: manager.set_current_version_async(versions[1]),
+        versions,
+        f"seed {seed}",
+        at=0.5,
+        originals=originals,
     )
-    schedule.install(runtime, coordinator)
-    v2 = derive_v2(manager)
-
-    def scenario():
-        # New current version lands just before the first fault can
-        # fire (crashes are scheduled at t >= 1.0).
-        yield runtime.sim.timeout(0.5)
-        manager.set_current_version_async(v2)
-        heal = schedule.heal_time + 1.0
-        if runtime.sim.now < heal:
-            yield runtime.sim.timeout(heal - runtime.sim.now)
-        tracker = yield from drive_to_convergence(
-            runtime, "Sorter", journal=journal, retry_policy=FAST_RETRY
-        )
-        return tracker
-
-    tracker = runtime.sim.run_process(scenario())
-    runtime.sim.run()
-
-    assert tracker is not None and tracker.all_acked, (
-        f"seed {seed}: propagation did not converge: {tracker.summary()}"
-    )
-    manager_now = runtime.class_of("Sorter")
-    assert manager_now.is_active
-    assert manager_now.current_version == v2
-    for loid in loids:
-        assert manager_now.instance_version(loid) == v2, (
-            f"seed {seed}: {loid} not at latest version in the DCDO table"
-        )
-        record = manager_now.record(loid)
-        assert record.active, f"seed {seed}: {loid} not recovered"
-        obj = record.obj
-        assert obj.version == v2, f"seed {seed}: {loid} object at {obj.version}"
-        applied = obj.applications_by_version.get(v2, 0)
-        # A rebuilt (crash-recovered) object may legitimately have been
-        # *built* at v2 rather than evolved to it — zero applications.
-        assert applied <= 1, (
-            f"seed {seed}: {loid} applied v2 {applied} times (duplicate)"
-        )
-        if obj is original_objs[loid]:
-            assert applied == 1, (
-                f"seed {seed}: surviving {loid} applied v2 {applied} times"
-            )
 
 
 def derive_v2_removing_sort(manager):
@@ -132,7 +82,7 @@ def derive_v2_removing_sort(manager):
     return version
 
 
-@pytest.mark.parametrize("seed", range(6))
+@sweep(6)
 def test_chaos_lease_stub_never_succeeds_on_removed_function(seed):
     """Lease-caching stubs under chaos: epoch leases may go stale, but
     no call against the removed ``sort`` function ever *succeeds* —
@@ -141,13 +91,10 @@ def test_chaos_lease_stub_never_succeeds_on_removed_function(seed):
     from repro.core.dcdo import RemovePolicy
     from repro.core.stub import DCDOStub
 
-    runtime, manager, journal, loids = build_fleet(
-        sim_seed=300 + seed, remove_policy=RemovePolicy.delay()
-    )
-    coordinator = ChaosCoordinator(runtime, journals={"Sorter": journal})
-    schedule = ChaosSchedule.generate(seed, list(runtime.hosts), duration_s=120.0)
-    schedule.install(runtime, coordinator)
-    v2 = derive_v2_removing_sort(manager)
+    fleet = build_fleet(300 + seed, remove_policy=RemovePolicy.delay())
+    runtime, manager = fleet.runtime, fleet.manager
+    schedule = roll(fleet, seed)
+    v1, v2 = manager.current_version, derive_v2_removing_sort(manager)
 
     outcomes = []  # (ok, payload) per completed sort attempt
     stubs = []
@@ -171,36 +118,30 @@ def test_chaos_lease_stub_never_succeeds_on_removed_function(seed):
                 outcomes.append((True, result))
             yield runtime.sim.timeout(0.5)
 
-    def scenario():
-        host_names = list(runtime.hosts)
-        for index, loid in enumerate(loids[:3]):
-            runtime.sim.spawn(
-                traffic(host_names[(index + 1) % len(host_names)], loid),
-                name=f"traffic:{loid}",
-            )
-        yield runtime.sim.timeout(0.5)
-        manager.set_current_version_async(v2)
-        heal = schedule.heal_time + 1.0
-        if runtime.sim.now < heal:
-            yield runtime.sim.timeout(heal - runtime.sim.now)
-        tracker = yield from drive_to_convergence(
-            runtime, "Sorter", journal=journal, retry_policy=FAST_RETRY
+    host_names = list(runtime.hosts)
+    for index, loid in enumerate(fleet.loids[:3]):
+        runtime.sim.spawn(
+            traffic(host_names[(index + 1) % len(host_names)], loid),
+            name=f"traffic:{loid}",
         )
+
+    def converge():
+        yield from converge_fleet(fleet, f"seed {seed}")
         stop["flag"] = True
-        return tracker
 
-    tracker = runtime.sim.run_process(scenario())
-    runtime.sim.run()
-
-    assert tracker is not None and tracker.all_acked, (
-        f"seed {seed}: propagation did not converge: {tracker.summary()}"
+    run_chaos(
+        fleet,
+        schedule,
+        lambda: manager.set_current_version_async(v2),
+        (v1, v2),
+        f"seed {seed}",
+        at=0.5,
+        converge=converge,
     )
     manager_now = runtime.class_of("Sorter")
-    for loid in loids:
-        assert manager_now.instance_version(loid) == v2
-        obj = manager_now.record(loid).obj
-        assert "sort" not in obj.dfm.exported_interface()
-        assert obj.applications_by_version.get(v2, 0) <= 1
+    assert_converged(manager_now, fleet.loids, v2, f"seed {seed}")
+    for loid in fleet.loids:
+        assert "sort" not in manager_now.record(loid).obj.dfm.exported_interface()
     # Every call that *succeeded* produced the correct pre-evolution
     # answer; once sort was removed, stale leases surface as errors,
     # never as bogus successes.
@@ -215,9 +156,8 @@ def test_manager_crash_mid_propagation_resumes_from_journal():
     """Crash the manager with one delivery still pending; the journal
     recovery must finish that delivery only — same version ids, no
     re-derivation, no double application."""
-    runtime, manager, journal, loids = build_fleet()
+    runtime, manager, journal, loids, __, __ = build_fleet(7)
     class_loid = manager.loid
-    v1 = manager.current_version
     v2 = derive_v2(manager)
     all_versions = set(manager.versions())
     # Cut the manager's host off from host03 so that instance's
@@ -291,7 +231,9 @@ def test_coordinator_auto_recovers_manager_and_instances():
     """A scheduled outage of the manager's host heals hands-free: the
     coordinator recovers the manager from its journal and rebuilds the
     co-located instance on restart."""
-    runtime, manager, journal, loids = build_fleet(instances=3)
+    runtime, manager, journal, loids, __, __ = build_fleet(
+        7, instance_hosts=("host00", "host01", "host02")
+    )
     coordinator = ChaosCoordinator(runtime, journals={"Sorter": journal})
     coordinator.crash_plan.schedule_outage(
         runtime.host("host00"), crash_at=5.0, restart_at=40.0
@@ -310,13 +252,51 @@ def test_coordinator_auto_recovers_manager_and_instances():
     assert record.active and record.obj.version == manager.current_version
 
 
+#: Disjoint host pools, so every kind finds victims on sixteen hosts.
+HOST_POOLS = dict(
+    relay_hosts=("host01", "host02", "host03"),
+    manager_hosts=("host04", "host05", "host06"),
+    shard_hosts=("host07", "host08", "host09", "host10", "host11", "host12"),
+    instance_hosts=("host13", "host14"),
+    ico_hosts=("host15",),
+)
+
+
 def test_chaos_schedule_is_deterministic():
-    """Same seed → identical schedule; different seed → (almost surely)
-    a different one."""
-    names = [f"host{i:02d}" for i in range(5)]
-    a = ChaosSchedule.generate(3, names)
-    b = ChaosSchedule.generate(3, names)
-    assert (a.crashes, a.partitions, a.drops) == (b.crashes, b.partitions, b.drops)
-    c = ChaosSchedule.generate(4, names)
-    assert (a.crashes, a.partitions, a.drops) != (c.crashes, c.partitions, c.drops)
-    assert a.heal_time > 0.0
+    """Every kind draws from its own stream: the same seed gives an
+    equal schedule, and enabling any other kind leaves a kind's draws
+    unchanged — except that crash victims skip hosts an earlier outage
+    kind already takes down (generating the kind alone with those hosts
+    protected reproduces it exactly).  Each count option turns on
+    exactly one kind, and heal_time covers every window."""
+    names = [f"host{i:02d}" for i in range(16)]
+    parameters = inspect.signature(ChaosSchedule.generate).parameters
+    options = [name for name, p in parameters.items() if type(p.default) is int]
+
+    def generate(seed, protect=(), **on):
+        counts = dict(dict.fromkeys(options, 0), **on)
+        return ChaosSchedule.generate(
+            seed, names, protect=protect, **HOST_POOLS, **counts
+        )
+
+    # Seed 1 rolls at least one fault of every kind.
+    full = generate(1, **dict.fromkeys(options, 2))
+    assert full.faults == generate(1, **dict.fromkeys(options, 2)).faults
+    assert full.faults != generate(2, **dict.fromkeys(options, 2)).faults
+    kind_of = {}
+    for option in options:
+        alone = generate(1, **{option: 2})
+        (kind,) = [name for name, faults in alone.faults.items() if faults]
+        kind_of[kind] = option
+    assert set(kind_of) == set(FAULT_KINDS)
+    down = set()
+    for kind, faults in full.faults.items():
+        assert faults, f"{kind} rolled no faults"
+        alone = generate(1, protect=tuple(down), **{kind_of[kind]: 2})
+        assert alone.faults[kind] == faults, kind
+        down |= {fault.host for fault in faults if isinstance(fault, Outage)}
+    # Outage victims never overlap, and heal_time covers every window.
+    victims = [fault.host for fault in full.records(Outage)]
+    assert len(victims) == len(set(victims))
+    ends = [getattr(f, "end", getattr(f, "at", 0.0)) for f in full.records(object)]
+    assert full.heal_time == max(ends) > 0.0

@@ -11,48 +11,41 @@ Acceptance invariants, every seed:
 
 - the gate breaches and the breach-triggered abort *completes* — on
   the original manager or on whichever standby was promoted — with the
-  whole fleet back on the prior version, exactly-once per instance;
-- never-half-applied holds for every settled instance;
+  whole fleet converged back on the prior version, exactly-once per
+  instance;
+- never-half-applied holds at heal and at the end;
 - blast radius stays within the stages the gate admitted (canary +
   first ramp) — the unvetted version never reaches the full fleet.
-
-``CHAOS_EXTRA_SEEDS`` (env) widens the sweep in CI.
 """
-
-import os
 
 import pytest
 
-from repro.cluster import Supervisor, build_lan
-from repro.cluster.chaos import ChaosCoordinator, ChaosSchedule
-from repro.core import ManagerJournal, RemovePolicy
 from repro.core.policies import (
     CanaryWavePolicy,
     IncreasingVersionPolicy,
     run_canary_wave,
 )
-from repro.legion import LegionRuntime
-from repro.net import RetryPolicy
-from repro.obs import SLO
-from repro.workloads import (
-    OpenLoopLoad,
-    PoissonArrivals,
-    build_degraded_version,
-    make_noop_manager,
+from repro.workloads import build_degraded_version
+
+from tests.chaos_harness import (
+    CLIENT_HOST,
+    DETECTOR_HOST,
+    FAST_RETRY,
+    MANAGER_HOST,
+    STANDBY_HOSTS,
+    SweepRecord,
+    assert_converged,
+    converged,
+    roll,
+    run_chaos,
+    serve_traffic,
+    service_fleet,
+    settle,
+    supervise,
+    sweep,
 )
 
-from tests.invariants import assert_never_half_applied
-
-FAST_RETRY = RetryPolicy(
-    base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
-)
-
-MANAGER_HOST = "host00"
-STANDBY_HOSTS = ("host02", "host03")
-DETECTOR_HOST = "host04"
-#: The traffic client's host: protected, so the SLO gate always has a
-#: vantage point (a blinded gate is a different experiment).
-CLIENT_HOST = "host05"
+pytestmark = pytest.mark.chaos
 
 INSTANCES = 8
 RAMP = CanaryWavePolicy(
@@ -62,55 +55,27 @@ RAMP = CanaryWavePolicy(
 #: the canary (1 of 8) plus the first ramp (4 of 8).
 MAX_BLAST = 5
 
-CHAOS_SEEDS = 20 + int(os.environ.get("CHAOS_EXTRA_SEEDS", "0"))
-
-#: Supervisor promotions per seed, checked in aggregate after the sweep.
-PROMOTIONS = {}
+PROMOTIONS = SweepRecord("no seed promoted a standby mid-rollout")
 
 
-def build_fleet(sim_seed):
-    runtime = LegionRuntime(build_lan(6, seed=sim_seed))
-    journal = ManagerJournal(name="Svc")
-    manager, __ = make_noop_manager(
-        runtime,
-        "Svc",
-        2,
-        3,
-        evolution_policy=IncreasingVersionPolicy(),
-        remove_policy=RemovePolicy.timeout(2.0),
-        journal=journal,
-        host_name=MANAGER_HOST,
-        propagation_retry_policy=FAST_RETRY,
-    )
-    loids = [
-        runtime.sim.run_process(
-            manager.create_instance(host_name=f"host{(index % 4) + 1:02d}")
-        )
-        for index in range(INSTANCES)
-    ]
-    return runtime, manager, journal, loids
-
-
-@pytest.mark.parametrize("seed", range(CHAOS_SEEDS))
+@sweep()
 def test_chaos_slo_gated_canary(seed):
     """Seeded degraded rollout + seeded chaos: the gate must catch the
     regression, bound the blast radius, and finish the rollback no
     matter which manager ends up holding the journal."""
-    runtime, manager, journal, loids = build_fleet(sim_seed=2300 + seed)
+    fleet = service_fleet(
+        2300 + seed,
+        INSTANCES,
+        ("host01", "host02", "host03", "host04"),
+        evolution_policy=IncreasingVersionPolicy(),
+    )
+    runtime, manager, loids = fleet.runtime, fleet.manager, fleet.loids
     v1 = manager.current_version
-    sim = runtime.sim
-
-    supervisor = Supervisor(
-        runtime,
-        "Svc",
-        standby_hosts=STANDBY_HOSTS,
-        detector_host_name=DETECTOR_HOST,
-        retry_policy=FAST_RETRY,
-    ).start()
-    coordinator = ChaosCoordinator(runtime, journals={})
-    schedule = ChaosSchedule.generate(
+    supervisor = supervise(fleet)
+    schedule = roll(
+        fleet,
         seed,
-        list(runtime.hosts),
+        supervised=True,
         duration_s=90.0,
         max_crashes=1 if seed % 4 == 2 else 0,
         max_partitions=1 if seed % 5 == 3 else 0,
@@ -128,29 +93,10 @@ def test_chaos_slo_gated_canary(seed):
         added_latency_s=amount if kind == "latency" else 0.0,
         error_every=amount if kind == "errors" else 0,
     )
-    schedule.install(runtime, coordinator)
-
-    slo = SLO(
-        name="svc",
-        latency_targets={0.99: 0.050},
-        max_error_rate=0.02,
-        min_samples=30,
-    )
-    monitor = runtime.network.slo_monitor("svc", slo=slo, window_s=6.0)
-    load = OpenLoopLoad(
-        runtime.make_client(host_name=CLIENT_HOST),
-        loids,
-        PoissonArrivals(30.0),
-        runtime.rng.stream("traffic"),
-        monitor=monitor,
-        duration_s=600.0,
-    )
-    load.start()
-
+    monitor, load = serve_traffic(fleet, min_samples=30, duration_s=600.0)
     result = {}
 
-    def runner():
-        yield sim.timeout(3.0)
+    def rollout():
         result["outcome"] = yield from run_canary_wave(
             runtime,
             "Svc",
@@ -160,38 +106,27 @@ def test_chaos_slo_gated_canary(seed):
             retry_policy=FAST_RETRY,
             deadline_s=400.0,
         )
-        # The rollout is decided; let chaos heal and recovery settle.
-        heal = schedule.heal_time + 1.0
-        if sim.now < heal:
-            yield sim.timeout(heal - sim.now)
-        current = supervisor.manager
-        assert_never_half_applied(current, loids, f"seed {seed} at heal")
-        deadline = sim.now + 200.0
-        while sim.now < deadline:
-            current = supervisor.manager
-            if (
-                current.is_active
-                and not current.deposed
-                and all(
-                    current.record(loid).active
-                    and current.instance_version(loid) == v1
-                    for loid in loids
-                )
-            ):
-                break
-            yield sim.timeout(5.0)
+
+    def converge():
+        # The rollout is decided; recovery settles the fleet back on v1.
+        yield from settle(
+            runtime.sim, lambda: converged(supervisor.manager, loids, v1), 200.0
+        )
         load.stop()
         supervisor.stop()
 
-    sim.run_process(runner())
-    sim.run()
-
+    run_chaos(
+        fleet,
+        schedule,
+        rollout,
+        (v1, v2),
+        f"seed {seed}",
+        at=3.0,
+        authority=lambda: supervisor.manager,
+        converge=converge,
+    )
     outcome = result["outcome"]
     current = supervisor.manager
-    assert current.is_active and not current.deposed, (
-        f"seed {seed}: no live authority after chaos ({schedule!r})"
-    )
-
     # The gate caught the regression and the abort completed — possibly
     # on a promoted standby — leaving the fleet on the prior version.
     assert outcome.breached and not outcome.completed, (
@@ -204,28 +139,12 @@ def test_chaos_slo_gated_canary(seed):
     assert tracker is not None and tracker.aborted, (
         f"seed {seed}: breach-abort never completed ({tracker.summary()})"
     )
-    assert current.current_version == v1
-
     # Blast radius: the unvetted version never spread past the stages
     # the gate explicitly admitted.
     assert len(state.admitted) <= MAX_BLAST, (
         f"seed {seed}: blast radius {len(state.admitted)}/{INSTANCES}"
     )
-
-    assert_never_half_applied(current, loids, f"seed {seed} converged")
-    for loid in loids:
-        record = current.record(loid)
-        assert record.active, f"seed {seed}: {loid} never recovered"
-        assert current.instance_version(loid) == v1, (
-            f"seed {seed}: {loid} left at "
-            f"{current.instance_version(loid)} after rollback"
-        )
-        obj = record.obj
-        assert obj.version == v1, f"seed {seed}: {loid} serving {obj.version}"
-        assert obj.applications_by_version.get(v2, 0) <= 1, (
-            f"seed {seed}: {loid} applied v2 "
-            f"{obj.applications_by_version.get(v2)} times"
-        )
+    assert_converged(current, loids, v1, f"seed {seed}", once=v2)
     assert len(monitor.breach_log) >= 1, f"seed {seed}: gate never fired"
     PROMOTIONS[seed] = supervisor.promotions
 
@@ -233,7 +152,4 @@ def test_chaos_slo_gated_canary(seed):
 def test_failover_observed_somewhere_in_sweep():
     """The sweep must actually exercise the failover-during-rollout
     path: at least one seed's supervisor promoted a standby."""
-    assert PROMOTIONS, "sweep did not run before the aggregate check"
-    assert any(count > 0 for count in PROMOTIONS.values()), (
-        f"no seed promoted a standby mid-rollout: {PROMOTIONS}"
-    )
+    PROMOTIONS.check()

@@ -39,6 +39,8 @@ from repro.workloads import (
 
 from tests.conftest import create_dcdo, make_sorter_manager
 
+pytestmark = pytest.mark.chaos
+
 FAST_RETRY = RetryPolicy(
     base_s=1.0, multiplier=2.0, max_backoff_s=30.0, max_attempts=8
 )

@@ -11,8 +11,9 @@ Unit coverage for the PR 8 gray-failure stack below the chaos sweep:
 - hedged requests racing a backup against a gray primary;
 - limping hosts (CPU + egress inflation) and per-peer health scoring
   with quarantine hysteresis;
-- seeded gray :class:`ChaosSchedule` kinds: legacy-prefix stability
-  and an end-to-end same-seed trace-digest equality check.
+- seeded gray :class:`ChaosSchedule` kinds: an end-to-end same-seed
+  trace-digest equality check (per-kind stream independence is checked
+  with every other kind in ``tests/test_chaos_evolution.py``).
 
 The 20-seed invariant sweep lives in ``tests/test_chaos_gray.py``.
 """
@@ -39,6 +40,8 @@ from repro.obs import HealthRegistry
 from repro.sim import Simulator
 
 from tests.conftest import make_counter_class
+
+pytestmark = [pytest.mark.chaos, pytest.mark.gray]
 
 
 def make_net(latency_s=0.001, bandwidth_bps=1_000_000):
@@ -831,42 +834,6 @@ def test_tree_order_key_sinks_unhealthy_hosts_to_leaves():
         return None
 
     assert find(root, "host00")["children"] == []
-
-
-# ----------------------------------------------------------------------
-# Seeded determinism of the gray schedule kinds
-# ----------------------------------------------------------------------
-
-
-def test_gray_kinds_extend_legacy_schedule_deterministically():
-    """The gray draws come strictly after every legacy draw: a given
-    seed yields the identical legacy schedule with gray kinds off or
-    on, and the gray lists themselves reproduce exactly."""
-    names = [f"host{i:02d}" for i in range(6)]
-    legacy = ChaosSchedule.generate(5, names, max_failovers=1)
-    gray_kwargs = dict(
-        gray_one_way=2,
-        gray_flaps=1,
-        gray_slow_links=2,
-        gray_duplicates=1,
-        gray_reorders=1,
-        gray_limps=1,
-    )
-    extended = ChaosSchedule.generate(5, names, max_failovers=1, **gray_kwargs)
-    assert extended.crashes == legacy.crashes
-    assert extended.partitions == legacy.partitions
-    assert extended.drops == legacy.drops
-    assert extended.degradations == legacy.degradations
-    # Gray kinds actually produced faults...
-    assert extended.one_way and extended.slow_links and extended.limps
-    assert extended.flaps and extended.duplicates and extended.reorders
-    # ...and reproducibly so.
-    again = ChaosSchedule.generate(5, names, max_failovers=1, **gray_kwargs)
-    for field in ("one_way", "flaps", "slow_links", "duplicates", "reorders", "limps"):
-        assert getattr(again, field) == getattr(extended, field), field
-    # heal_time covers the gray windows too.
-    gray_ends = [entry[-1] for entry in extended.one_way + extended.flaps]
-    assert extended.heal_time >= max(gray_ends)
 
 
 def _run_gray_trace(seed):

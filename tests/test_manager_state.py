@@ -17,6 +17,7 @@ import os
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+import pytest
 
 from repro.cluster import build_lan
 from repro.cluster.chaos import crash_host
@@ -34,6 +35,8 @@ from repro.legion import LegionRuntime
 from repro.net import PrefixPartition, RetryPolicy
 
 from tests.conftest import create_dcdo, make_sorter_manager
+
+pytestmark = pytest.mark.chaos
 
 ONE_SHOT = RetryPolicy(base_s=1.0, max_attempts=1)
 HOSTS = ("host01", "host02", "host03")

@@ -20,6 +20,8 @@ from repro.core.partition import (
     partition_slot,
 )
 
+pytestmark = pytest.mark.chaos
+
 
 # ----------------------------------------------------------------------
 # Slot hashing

@@ -16,6 +16,8 @@ from repro.sim import DeterministicRNG, Simulator
 
 from tests.conftest import make_counter_class
 
+pytestmark = [pytest.mark.chaos, pytest.mark.gray]
+
 
 # ----------------------------------------------------------------------
 # Pure policy arithmetic

@@ -18,6 +18,8 @@ from repro.net import RetryPolicy
 
 from tests.conftest import make_sorter_plane
 
+pytestmark = pytest.mark.chaos
+
 FAST_RETRY = RetryPolicy(
     base_s=0.5, multiplier=2.0, max_backoff_s=10.0, max_attempts=6
 )

@@ -26,6 +26,8 @@ from repro.workloads import (
     make_noop_manager,
 )
 
+pytestmark = pytest.mark.chaos
+
 
 # ----------------------------------------------------------------------
 # Timer percentiles (reservoir sampling)

@@ -17,6 +17,7 @@ from repro.core import (
     ComponentBuilder,
     ComponentBusy,
     DeliveryStatus,
+    DiffBaseMismatch,
     EvolutionPhase,
     ManagerJournal,
     ManagerState,
@@ -33,6 +34,8 @@ from repro.net import CircuitOpen, PrefixPartition, RetryPolicy
 from repro.obs import Tracer
 
 from tests.conftest import create_dcdo, make_sorter_manager
+
+pytestmark = pytest.mark.chaos
 
 #: One-attempt delivery policy: chaos-free tests that want a FAILED
 #: delivery quickly, without walking a retry ladder.
@@ -84,6 +87,7 @@ def make_diff(manager, from_version, to_version):
         manager.version_record(from_version).descriptor,
         manager.version_record(to_version).descriptor,
     )
+    diff.base_version = from_version
     diff.target_version = to_version
     return diff
 
@@ -280,6 +284,77 @@ def test_duplicate_after_failed_apply_becomes_the_applier():
     assert obj.rollbacks == 1
     assert obj.version == v2
     assert obj.applications_by_version.get(v2) == 1
+
+
+# ----------------------------------------------------------------------
+# A diff applies only to the version it was computed from
+# ----------------------------------------------------------------------
+
+
+def test_diff_refused_by_instance_rebuilt_with_no_configuration():
+    """A v1→v2 diff reaching an instance whose rebuild has not
+    configured it yet is refused: applied, it would leave the instance
+    "at v2" holding only v2's new component."""
+    runtime, manager, __, loids = build_sorter_fleet(instances=1)
+    loid = loids[0]
+    v1, v2 = manager.current_version, derive_v2(manager)
+    crash_host(runtime, runtime.host("host01"))
+    runtime.host("host01").restart()
+    # The rebuild activates the object, then stalls fetching v1's
+    # components from host00.
+    runtime.network.faults.add_partition(
+        PrefixPartition(["host00/"], ["host01/"], start=0.0, end=10_000.0)
+    )
+    runtime.sim.spawn(manager.recover_instance(loid), name="rebuild")
+    runtime.sim.run(until=runtime.sim.now + 5.0)
+    rebuilt = runtime.live_object(loid)
+    assert rebuilt.version is None and not rebuilt.dfm.component_ids
+    assert rebuilt.evolution_phase is EvolutionPhase.BUILDING
+
+    with pytest.raises(DiffBaseMismatch) as refusal:
+        runtime.sim.run_process(rebuilt.apply_configuration(make_diff(manager, v1, v2)))
+    assert (refusal.value.base_version, refusal.value.actual_version) == (v1, None)
+    assert rebuilt.version is None and not rebuilt.dfm.component_ids
+    assert not rebuilt.applications_by_version
+
+
+def derive_v3_dropping_compare_desc(manager, v2):
+    """v2 with ``compare`` back on compare-asc and compare-desc removed."""
+    version = manager.derive_version(v2)
+    descriptor = manager.descriptor_of(version)
+    descriptor.enable("compare", "compare-asc", replace_current=True)
+    descriptor.remove_component("compare-desc")
+    manager.mark_instantiable(version)
+    return version
+
+
+@pytest.mark.parametrize("relays", [False, True], ids=["direct", "relay"])
+def test_manager_rediffs_from_the_instance_version(relays):
+    """The table says v1 but the instance reached v2 (a lost ack): the
+    v1→v3 diff is refused, and the manager re-diffs from v2 — on the
+    direct path and through a relay batch — so compare-desc is removed
+    instead of lingering in a "v3" instance."""
+    from repro.cluster import deploy_relays
+
+    runtime, manager, __, loids = build_sorter_fleet(instances=1)
+    obj = manager.record(loids[0]).obj
+    v1, v2 = manager.current_version, derive_v2(manager)
+    runtime.sim.run_process(obj.apply_configuration(make_diff(manager, v1, v2)))
+    assert manager.instance_version(loids[0]) == v1 and obj.version == v2
+    v3 = derive_v3_dropping_compare_desc(manager, v2)
+    manager.set_current_version(v3)
+    if relays:
+        manager.use_relays(deploy_relays(runtime))
+
+    tracker = runtime.sim.run_process(manager.propagate_version(v3))
+    assert tracker.all_acked
+    assert obj.version == v3 and manager.instance_version(loids[0]) == v3
+    v3_descriptor = manager.descriptor_of(v3, allow_instantiable=True)
+    assert obj.dfm.component_ids == v3_descriptor.component_ids
+    assert obj.applications_by_version.get(v3) == 1
+    assert runtime.network.count_value("evolution.rediffs") == 1
+    if relays:
+        assert runtime.network.count_value("relay.batches") == 2
 
 
 # ----------------------------------------------------------------------
