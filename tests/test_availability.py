@@ -508,6 +508,45 @@ def test_supervisor_replaces_crashed_standby():
 
 
 # ----------------------------------------------------------------------
+# Schedule determinism for the manager fault kinds
+# ----------------------------------------------------------------------
+
+
+def test_manager_fault_kinds_extend_legacy_schedule_deterministically():
+    """Manager partitions and failovers draw from their own streams: a
+    given seed yields the identical legacy kinds with them off or on."""
+    from repro.cluster.chaos import ChaosSchedule
+
+    names = [f"host{i:02d}" for i in range(6)]
+    legacy_kwargs = dict(ico_hosts=("host05",), max_ico_partitions=2)
+    legacy_kwargs.update(mid_apply_crashes=1)
+    manager_kwargs = dict(manager_hosts=("host00", "host02"))
+    manager_kwargs.update(max_manager_partitions=1, max_failovers=2)
+    legacy = ChaosSchedule.generate(5, names, **legacy_kwargs)
+    extended = ChaosSchedule.generate(5, names, **legacy_kwargs, **manager_kwargs)
+    for kind in ("crashes", "mid_apply_crashes", "partitions", "ico_partitions"):
+        assert getattr(extended, kind) == getattr(legacy, kind), kind
+    assert extended.drops == legacy.drops
+    assert not legacy.manager_partitions and not legacy.failovers
+    # The manager kinds actually produced faults: partitions isolate the
+    # first manager host from everyone else.
+    assert extended.manager_partitions
+    rest = [name for name in names if name != "host00"]
+    for part in extended.manager_partitions:
+        assert (part.side_a, part.side_b) == (["host00"], rest)
+    # Failover crashes target the manager hosts (a host the legacy
+    # draws already crashed is skipped) and are chained in time.
+    down = {fault.host for fault in legacy.crashes + legacy.mid_apply_crashes}
+    assert 1 <= len(extended.failovers) <= 2
+    assert all(f.host in ("host00", "host02") for f in extended.failovers)
+    assert not down & {f.host for f in extended.failovers}
+    crash_times = [fault.start for fault in extended.failovers]
+    assert crash_times == sorted(crash_times)
+    again = ChaosSchedule.generate(5, names, **legacy_kwargs, **manager_kwargs)
+    assert again.faults == extended.faults
+
+
+# ----------------------------------------------------------------------
 # Gray failures: phi-accrual vs fixed-threshold detection
 # ----------------------------------------------------------------------
 

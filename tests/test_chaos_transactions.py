@@ -10,6 +10,7 @@ aborted waves undo their committed instances.
 
 import pytest
 
+from repro.cluster.chaos import ChaosSchedule
 from tests.chaos_harness import (
     ICO_HOST,
     RELIABLE,
@@ -68,3 +69,29 @@ def test_chaos_abortive_wave_keeps_fleet_consistent(seed):
     versions = (manager.current_version, derive_v2(manager))
     manager.set_current_version(versions[1])  # explicit policy: no auto-propagation
     abortive_wave(fleet, schedule, versions, f"seed {seed}")
+
+
+def test_new_fault_kinds_extend_legacy_schedule_deterministically():
+    """The transactional fault kinds draw from their own streams: a
+    given seed yields the identical legacy schedule with the new kinds
+    off or on — existing seeded tests stay reproducible."""
+    names = [f"host{i:02d}" for i in range(6)]
+    new_kwargs = dict(ico_hosts=(ICO_HOST,), max_ico_partitions=2, mid_apply_crashes=1)
+    legacy = ChaosSchedule.generate(5, names)
+    extended = ChaosSchedule.generate(5, names, **new_kwargs)
+    assert extended.crashes == legacy.crashes
+    assert extended.partitions == legacy.partitions
+    assert extended.drops == legacy.drops
+    # The new kinds actually produced faults, and reproducibly so; a
+    # mid-apply crash never picks a host the legacy crashes took down.
+    assert not legacy.ico_partitions and not legacy.mid_apply_crashes
+    assert extended.ico_partitions
+    assert len(extended.mid_apply_crashes) == 1
+    (victim,) = [fault.host for fault in extended.mid_apply_crashes]
+    assert victim not in {fault.host for fault in legacy.crashes}
+    again = ChaosSchedule.generate(5, names, **new_kwargs)
+    assert again.faults == extended.faults
+    # ICO partitions isolate the component servers from everyone else.
+    rest = [name for name in names if name != ICO_HOST]
+    for part in extended.ico_partitions:
+        assert (part.side_a, part.side_b) == ([ICO_HOST], rest)

@@ -836,6 +836,42 @@ def test_tree_order_key_sinks_unhealthy_hosts_to_leaves():
     assert find(root, "host00")["children"] == []
 
 
+# ----------------------------------------------------------------------
+# Seeded determinism of the gray schedule kinds
+# ----------------------------------------------------------------------
+
+
+def test_gray_kinds_extend_legacy_schedule_deterministically():
+    """The gray kinds draw from their own streams: a given seed yields
+    the identical legacy schedule with gray kinds off or on, and the
+    gray kinds themselves reproduce exactly."""
+    names = [f"host{i:02d}" for i in range(6)]
+    legacy = ChaosSchedule.generate(5, names, max_failovers=1)
+    gray_kwargs = dict(
+        gray_one_way=2,
+        gray_flaps=1,
+        gray_slow_links=2,
+        gray_duplicates=1,
+        gray_reorders=1,
+        gray_limps=1,
+    )
+    gray_kinds = ("one_way", "flaps", "slow_links", "duplicates", "reorders", "limps")
+    extended = ChaosSchedule.generate(5, names, max_failovers=1, **gray_kwargs)
+    for kind, faults in legacy.faults.items():
+        if kind not in gray_kinds:
+            assert extended.faults[kind] == faults, kind
+    # Gray kinds actually produced faults...
+    for kind in gray_kinds:
+        assert not legacy.faults[kind] and extended.faults[kind], kind
+    # ...and reproducibly so.
+    again = ChaosSchedule.generate(5, names, max_failovers=1, **gray_kwargs)
+    for kind in gray_kinds:
+        assert again.faults[kind] == extended.faults[kind], kind
+    # heal_time covers the gray windows too.
+    gray_ends = [fault.end for fault in extended.one_way + extended.flaps]
+    assert extended.heal_time >= max(gray_ends)
+
+
 def _run_gray_trace(seed):
     """One small fleet under a gray schedule; returns its trace digest."""
     runtime = LegionRuntime(build_lan(4, seed=31))
