@@ -246,9 +246,10 @@ BadDeploy = namedtuple("BadDeploy", "at added_latency_s error_every")
 
 
 # ----------------------------------------------------------------------
-# Drawers: ``draw(rng, plan) -> [record, ...]``, one per fault kind.
-# ``rng`` is the kind's own stream; ``plan`` holds generate()'s
-# arguments plus ``down``, the hosts earlier outage kinds crash.
+# Drawers: ``draw(rng, plan, most) -> [record, ...]``, one per fault
+# kind.  ``rng`` is the kind's own stream, ``most`` the value of its
+# count option; ``plan`` holds generate()'s arguments plus ``down``,
+# the hosts earlier outage kinds crash.
 # ----------------------------------------------------------------------
 
 
@@ -299,31 +300,29 @@ def _sampled_outages(rng, plan, hosts, most, earliest, latest):
     return _outages(rng, plan, victims, earliest, latest)
 
 
-def _draw_crashes(rng, plan):
+def _draw_crashes(rng, plan, most):
     pool = plan.pool(plan.host_names)
-    if not pool or plan.max_crashes <= 0:
+    if not pool or most <= 0:
         return []
-    victims = rng.sample(pool, k=rng.randint(1, min(plan.max_crashes, len(pool))))
+    victims = rng.sample(pool, k=rng.randint(1, min(most, len(pool))))
     return _outages(rng, plan, victims, 1.0, plan.duration_s * 0.4)
 
 
-def _draw_mid_apply_crashes(rng, plan):
-    most = plan.mid_apply_crashes
+def _draw_mid_apply_crashes(rng, plan, most):
     return _sampled_outages(rng, plan, plan.host_names, most, 0.6, 6.0)
 
 
-def _draw_relay_crashes(rng, plan):
-    most = plan.max_relay_crashes
+def _draw_relay_crashes(rng, plan, most):
     return _sampled_outages(rng, plan, plan.relay_hosts, most, 0.5, 8.0)
 
 
-def _draw_failovers(rng, plan):
+def _draw_failovers(rng, plan, most):
     """Crash manager hosts in their listed order, chained: the first
     early, each next 8-20 s after the previous crash, so a supervisor
     always chases the *current* primary."""
     crash_at = rng.uniform(0.5, 6.0)
     outages = []
-    for host in plan.pool(plan.manager_hosts)[: plan.max_failovers]:
+    for host in plan.pool(plan.manager_hosts)[:most]:
         end = crash_at + rng.uniform(10.0, plan.duration_s * 0.35)
         outages.append(Outage(host, crash_at, end))
         plan.down.add(host)
@@ -331,21 +330,19 @@ def _draw_failovers(rng, plan):
     return outages
 
 
-def _draw_shard_crashes(rng, plan):
-    most = plan.max_shard_crashes
+def _draw_shard_crashes(rng, plan, most):
     return _sampled_outages(rng, plan, plan.shard_hosts, most, 0.5, 8.0)
 
 
-def _draw_rebalance_crashes(rng, plan):
-    most = plan.mid_rebalance_crashes
+def _draw_rebalance_crashes(rng, plan, most):
     outages = _sampled_outages(rng, plan, plan.shard_hosts, most, 1.0, 8.0)
     return [outage._replace(pick=rng.random()) for outage in outages]
 
 
-def _draw_partitions(rng, plan):
+def _draw_partitions(rng, plan, most):
     hosts = plan.host_names
     partitions = []
-    for __ in range(rng.randint(0, plan.max_partitions) if len(hosts) >= 2 else 0):
+    for __ in range(rng.randint(0, most) if len(hosts) >= 2 else 0):
         shuffled = rng.sample(hosts, len(hosts))
         cut = rng.randint(1, len(hosts) - 1)
         window = plan.window(rng, 0.5, 2.0, 0.4, earliest=0.0)
@@ -353,18 +350,18 @@ def _draw_partitions(rng, plan):
     return partitions
 
 
-def _draw_ico_partitions(rng, plan):
+def _draw_ico_partitions(rng, plan, most):
     ico = [name for name in plan.ico_hosts if name in plan.host_names]
     others = [name for name in plan.host_names if name not in ico]
     if not (ico and others):
         return []
     return [
         Partition(ico, others, *plan.window(rng, 0.25, 5.0, 0.5, earliest=0.0))
-        for __ in range(_count(rng, plan.max_ico_partitions))
+        for __ in range(_count(rng, most))
     ]
 
 
-def _draw_manager_partitions(rng, plan):
+def _draw_manager_partitions(rng, plan, most):
     """Isolate the first manager host: the split-brain shape."""
     managers = [name for name in plan.manager_hosts if name in plan.host_names]
     if not managers or len(plan.host_names) < 2:
@@ -372,26 +369,26 @@ def _draw_manager_partitions(rng, plan):
     rest = [name for name in plan.host_names if name != managers[0]]
     return [
         Partition([managers[0]], rest, *plan.window(rng, 0.2, 6.0, 0.35))
-        for __ in range(_count(rng, plan.max_manager_partitions))
+        for __ in range(_count(rng, most))
     ]
 
 
-def _draw_drops(rng, plan):
+def _draw_drops(rng, plan, most):
     drops = []
-    for __ in range(rng.randint(0, plan.max_drops)):
+    for __ in range(rng.randint(0, most)):
         start = rng.uniform(0.0, plan.duration_s * 0.6)
         drops.append(Drop(rng.randint(1, 4), start, start + rng.uniform(1.0, 20.0)))
     return drops
 
 
-def _repeated(option, one, min_hosts=0):
-    """A drawer rolling 1..``plan.<option>`` records, each drawn by
+def _repeated(one, min_hosts=0):
+    """A drawer rolling 1..``most`` records, each drawn by
     ``one(rng, plan)`` — none with fewer than ``min_hosts`` hosts."""
 
-    def draw(rng, plan):
+    def draw(rng, plan, most):
         if len(plan.host_names) < min_hosts:
             return []
-        return [one(rng, plan) for __ in range(_count(rng, getattr(plan, option)))]
+        return [one(rng, plan) for __ in range(_count(rng, most))]
 
     return draw
 
@@ -441,7 +438,7 @@ def _limp(rng, plan):
     return Limp(host, factor, *plan.window(rng, 0.4, 5.0, 0.4))
 
 
-def _draw_flaky_limps(rng, plan):
+def _draw_flaky_limps(rng, plan, most):
     """Limps drawn from the instance-bearing hosts, so quarantine and
     migrate-off-flaky-host remediation actually trigger."""
     pool = [name for name in plan.instance_hosts if name in plan.host_names]
@@ -451,7 +448,7 @@ def _draw_flaky_limps(rng, plan):
             round(rng.uniform(4.0, 10.0), 2),
             *plan.window(rng, 0.3, 10.0, 0.5),
         )
-        for __ in range(_count(rng, plan.max_flaky_limps) if pool else 0)
+        for __ in range(_count(rng, most) if pool else 0)
     ]
 
 
@@ -467,15 +464,15 @@ def _bad_deploy(rng, plan):
     return BadDeploy(at, 0.0, rng.randint(2, 4))
 
 
-_draw_degradations = _repeated("max_degradations", _degradation)
-_draw_one_way = _repeated("gray_one_way", _one_way, min_hosts=2)
-_draw_flaps = _repeated("gray_flaps", _flap, min_hosts=2)
-_draw_slow_links = _repeated("gray_slow_links", _slowdown, min_hosts=2)
-_draw_duplicates = _repeated("gray_duplicates", _duplication)
-_draw_reorders = _repeated("gray_reorders", _reordering)
-_draw_limps = _repeated("gray_limps", _limp, min_hosts=1)
-_draw_map_staleness = _repeated("max_map_staleness", _staleness)
-_draw_bad_deploys = _repeated("max_bad_deploys", _bad_deploy)
+_draw_degradations = _repeated(_degradation)
+_draw_one_way = _repeated(_one_way, min_hosts=2)
+_draw_flaps = _repeated(_flap, min_hosts=2)
+_draw_slow_links = _repeated(_slowdown, min_hosts=2)
+_draw_duplicates = _repeated(_duplication)
+_draw_reorders = _repeated(_reordering)
+_draw_limps = _repeated(_limp, min_hosts=1)
+_draw_map_staleness = _repeated(_staleness)
+_draw_bad_deploys = _repeated(_bad_deploy)
 
 
 # ----------------------------------------------------------------------
@@ -604,42 +601,73 @@ def live_range_move(runtime, plane, at, victim=None, pick=0.0):
 # one already takes down.
 # ----------------------------------------------------------------------
 
-#: ``draw(rng, plan)`` rolls the kind's records, ``install`` arms one
-#: (None: the harness stages it), ``ends(record)`` is the offset by
-#: which it has cleared.
-FaultKind = namedtuple("FaultKind", "draw install ends")
+#: ``option`` is the :meth:`ChaosSchedule.generate` argument bounding
+#: how many the kind rolls, ``draw(rng, plan, most)`` rolls them,
+#: ``install`` arms one (None: the harness stages it), ``ends(record)``
+#: is the offset by which it has cleared.
+FaultKind = namedtuple("FaultKind", "option draw install ends")
 
 _ends = attrgetter("end")
 
 FAULT_KINDS = {
-    "crashes": FaultKind(_draw_crashes, _install_outage, _ends),
-    "mid_apply_crashes": FaultKind(_draw_mid_apply_crashes, _install_outage, _ends),
-    "relay_crashes": FaultKind(_draw_relay_crashes, _install_outage, _ends),
-    "failovers": FaultKind(_draw_failovers, _install_outage, _ends),
-    "shard_crashes": FaultKind(_draw_shard_crashes, _install_outage, _ends),
-    "rebalance_crashes": FaultKind(_draw_rebalance_crashes, _install_outage, _ends),
-    "partitions": FaultKind(_draw_partitions, _install_partition, _ends),
-    "ico_partitions": FaultKind(_draw_ico_partitions, _install_partition, _ends),
-    "manager_partitions": FaultKind(
-        _draw_manager_partitions, _install_partition, _ends
+    "crashes": FaultKind("max_crashes", _draw_crashes, _install_outage, _ends),
+    "mid_apply_crashes": FaultKind(
+        "mid_apply_crashes", _draw_mid_apply_crashes, _install_outage, _ends
     ),
-    "drops": FaultKind(_draw_drops, _rule("add_drop_rule", DropRule), _ends),
-    "degradations": FaultKind(_draw_degradations, None, lambda fault: 0.0),
-    "one_way": FaultKind(_draw_one_way, _install_partition, _ends),
+    "relay_crashes": FaultKind(
+        "max_relay_crashes", _draw_relay_crashes, _install_outage, _ends
+    ),
+    "failovers": FaultKind("max_failovers", _draw_failovers, _install_outage, _ends),
+    "shard_crashes": FaultKind(
+        "max_shard_crashes", _draw_shard_crashes, _install_outage, _ends
+    ),
+    "rebalance_crashes": FaultKind(
+        "mid_rebalance_crashes", _draw_rebalance_crashes, _install_outage, _ends
+    ),
+    "partitions": FaultKind(
+        "max_partitions", _draw_partitions, _install_partition, _ends
+    ),
+    "ico_partitions": FaultKind(
+        "max_ico_partitions", _draw_ico_partitions, _install_partition, _ends
+    ),
+    "manager_partitions": FaultKind(
+        "max_manager_partitions", _draw_manager_partitions, _install_partition, _ends
+    ),
+    "drops": FaultKind(
+        "max_drops", _draw_drops, _rule("add_drop_rule", DropRule), _ends
+    ),
+    "degradations": FaultKind(
+        "max_degradations", _draw_degradations, None, lambda fault: 0.0
+    ),
+    "one_way": FaultKind("gray_one_way", _draw_one_way, _install_partition, _ends),
     "flaps": FaultKind(
-        _draw_flaps, _link_rule("add_partition", LinkFlap, "flap"), _ends
+        "gray_flaps", _draw_flaps, _link_rule("add_partition", LinkFlap, "flap"), _ends
     ),
     "slow_links": FaultKind(
-        _draw_slow_links, _link_rule("add_delay_rule", SlowLink, "slow"), _ends
+        "gray_slow_links",
+        _draw_slow_links,
+        _link_rule("add_delay_rule", SlowLink, "slow"),
+        _ends,
     ),
     "duplicates": FaultKind(
-        _draw_duplicates, _rule("add_duplicate_rule", DuplicateRule), _ends
+        "gray_duplicates",
+        _draw_duplicates,
+        _rule("add_duplicate_rule", DuplicateRule),
+        _ends,
     ),
-    "reorders": FaultKind(_draw_reorders, _rule("add_delay_rule", ReorderRule), _ends),
-    "limps": FaultKind(_draw_limps, _install_limp, _ends),
-    "flaky_limps": FaultKind(_draw_flaky_limps, _install_limp, _ends),
-    "map_staleness": FaultKind(_draw_map_staleness, _install_staleness, _ends),
-    "bad_deploys": FaultKind(_draw_bad_deploys, None, attrgetter("at")),
+    "reorders": FaultKind(
+        "gray_reorders", _draw_reorders, _rule("add_delay_rule", ReorderRule), _ends
+    ),
+    "limps": FaultKind("gray_limps", _draw_limps, _install_limp, _ends),
+    "flaky_limps": FaultKind(
+        "max_flaky_limps", _draw_flaky_limps, _install_limp, _ends
+    ),
+    "map_staleness": FaultKind(
+        "max_map_staleness", _draw_map_staleness, _install_staleness, _ends
+    ),
+    "bad_deploys": FaultKind(
+        "max_bad_deploys", _draw_bad_deploys, None, attrgetter("at")
+    ),
 }
 
 
@@ -745,7 +773,7 @@ class ChaosSchedule:
         rng = DeterministicRNG(seed)
         return cls(
             **{
-                name: kind.draw(rng.stream(name), plan)
+                name: kind.draw(rng.stream(name), plan, options[kind.option])
                 for name, kind in FAULT_KINDS.items()
             }
         )

@@ -158,8 +158,6 @@ class DCDO(LegionObject):
         self.rollbacks = 0
         self._applying = {}
         self._txn = None
-        #: True while the manager builds the first configuration.
-        self.building = False
         self._register_dcdo_interface()
 
     # ------------------------------------------------------------------
@@ -207,6 +205,13 @@ class DCDO(LegionObject):
         if len(impl_types) == 1:
             return next(iter(impl_types))
         return ImplementationType(architecture=self.host.architecture)
+
+    @property
+    def building(self):
+        """True while the manager builds the first configuration: the
+        object is live but at no version yet (a failed build
+        deactivates it)."""
+        return self.is_active and self._version is None
 
     @property
     def evolution_phase(self):

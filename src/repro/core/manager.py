@@ -697,9 +697,8 @@ class DCDOManager(ClassObject):
             remove_policy=self._remove_policy,
         )
         self._runtime.attach_object(obj)
-        # Reachable from activation on, but half-built until the
-        # version is set: report it as building meanwhile.
-        obj.building = True
+        # Reachable from activation on, but half-built (``building``)
+        # until the version is set.
         yield from obj.activate()
         try:
             for component_id in sorted(descriptor.component_ids):
@@ -708,7 +707,6 @@ class DCDOManager(ClassObject):
             obj.dfm.apply_entry_states(descriptor)
             obj.dfm.adopt_restrictions(descriptor)
             obj.set_version(version)
-            obj.building = False
         except Exception:
             # A failed component fetch must not leave a half-configured
             # but reachable DCDO behind: journal replays and recovery
@@ -725,6 +723,9 @@ class DCDOManager(ClassObject):
             "instance-version", loid=record.loid, version=self.state.current_version
         )
         self.update_policy.on_instance_created(self, record)
+
+    def _mid_build(self, obj):
+        return isinstance(obj, DCDO) and obj.building
 
     def _notify_migrated(self, record):
         self._instance_impl_types[record.loid] = record.obj.implementation_type

@@ -529,7 +529,8 @@ class ShardedManagerPlane:
         2. ``map.apply`` — the epoch bump *is* the commit point;
         3. source journals the release, drops rows, bumps its term.
 
-        A crash before (2) aborts: the map still names the source, the
+        A crash before (2) aborts: the map still names the source, and
+        a target still live drops the rows it adopted at once; a dead
         target's journaled orphans are pruned by :meth:`reconcile`.  A
         crash after (2) needs no undo: ownership already moved, and
         the source's release replays from its journal on recovery —
@@ -539,6 +540,7 @@ class ShardedManagerPlane:
         sim = self.runtime.sim
         moves = self._diff_moves(self.map.current, new_map)
         spans = [span for span, __, __ in moves]
+        adopted = {}
         self._mid_handoff.extend(spans)
         try:
             for span, source_id, target_id in moves:
@@ -554,12 +556,19 @@ class ShardedManagerPlane:
                         f"(s{source_id}→s{target_id})"
                     )
                 target.adopt_rows(rows)
-            for target_id in sorted({target_id for __, __, target_id in moves}):
+                adopted.setdefault(target_id, []).extend(loid for loid, __, __ in rows)
+            for target_id in sorted(adopted):
                 yield from self._await_standby(target_id)
             yield from self.map.apply(new_map, mode=mode)
             for span, source_id, __ in moves:
                 self.shard_manager(source_id).release_span(span)
             self.runtime.network.count("manager.shard.handoffs", len(moves))
+        except HandoffAborted:
+            for target_id, loids in adopted.items():
+                target = self.shard_manager(target_id)
+                if target.is_active:
+                    target.prune_rows(loids)
+            raise
         finally:
             for span in spans:
                 self._mid_handoff.remove(span)

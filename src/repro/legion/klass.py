@@ -179,6 +179,11 @@ class ClassObject(LegionObject):
     def _instance_created(self, record):
         """Hook: called after an instance is created and active."""
 
+    def _mid_build(self, obj):
+        """Hook: True while ``obj`` is live but still being built.  The
+        monolithic build activates an object only once it is built."""
+        return False
+
     def create_instance(self, host_name=None, state=None, state_bytes=0, loid=None):
         """Generator: create and activate a new instance.
 
@@ -290,8 +295,9 @@ class ClassObject(LegionObject):
             live = self._runtime.live_object(loid)
             # Another incarnation may be mid-build: adopt the instance
             # once built, rebuild it if the build fails (that
-            # deactivates it).
-            while getattr(live, "building", False) and live.is_active:
+            # deactivates it).  Builds end: their fetches retry on
+            # bounded schedules.
+            while self._mid_build(live):
                 yield self.sim.timeout(1.0)
             if live is not None and live.is_active and live.host.is_up:
                 # Another class-object incarnation already rebuilt this

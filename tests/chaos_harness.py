@@ -337,7 +337,9 @@ def assert_converged(
         )
 
 
-def supervised_wave(fleet, seed, announce_waves, detector_mode="threshold", **kinds):
+def supervised_wave(
+    fleet, seed, announce_waves, detector_mode="threshold", reissue=False, **kinds
+):
     """Evolve to v2 under the seed's schedule with no operator in the loop.
 
     The schedule crashes or partitions the manager hosts (``kinds`` add
@@ -348,6 +350,11 @@ def supervised_wave(fleet, seed, announce_waves, detector_mode="threshold", **ki
     applied at heal, at least one promotion, an unbroken succession of
     terms and the converged exactly-once state; announcement seeds note
     their ``relay.announce_waves`` in ``announce_waves``.
+
+    The designation fires once.  Only with ``reissue`` does the test,
+    acting as the client, repeat it against a promoted authority that
+    lost it (see :func:`converged`); without, the supervisor alone must
+    carry the fleet to v2.
     """
     supervisor = supervise(fleet, detector_mode=detector_mode)
     schedule = roll(
@@ -364,8 +371,9 @@ def supervised_wave(fleet, seed, announce_waves, detector_mode="threshold", **ki
 
     def converge():
         target = versions[1]
+        again = target if reissue else None
         yield from settle(
-            sim, lambda: converged(supervisor.manager, fleet.loids, target, target)
+            sim, lambda: converged(supervisor.manager, fleet.loids, target, again)
         )
         supervisor.stop()
 

@@ -267,8 +267,9 @@ def test_chaos_schedule_is_deterministic():
     equal schedule, and enabling any other kind leaves a kind's draws
     unchanged — except that crash victims skip hosts an earlier outage
     kind already takes down (generating the kind alone with those hosts
-    protected reproduces it exactly).  Each count option turns on
-    exactly one kind, and heal_time covers every window."""
+    protected reproduces it exactly).  Each count option of generate
+    belongs to one kind and turns on only that kind, and heal_time
+    covers every window."""
     names = [f"host{i:02d}" for i in range(16)]
     parameters = inspect.signature(ChaosSchedule.generate).parameters
     options = [name for name, p in parameters.items() if type(p.default) is int]
@@ -283,17 +284,13 @@ def test_chaos_schedule_is_deterministic():
     full = generate(1, **dict.fromkeys(options, 2))
     assert full.faults == generate(1, **dict.fromkeys(options, 2)).faults
     assert full.faults != generate(2, **dict.fromkeys(options, 2)).faults
-    kind_of = {}
-    for option in options:
-        alone = generate(1, **{option: 2})
-        (kind,) = [name for name, faults in alone.faults.items() if faults]
-        kind_of[kind] = option
-    assert set(kind_of) == set(FAULT_KINDS)
+    assert sorted(kind.option for kind in FAULT_KINDS.values()) == sorted(options)
     down = set()
     for kind, faults in full.faults.items():
         assert faults, f"{kind} rolled no faults"
-        alone = generate(1, protect=tuple(down), **{kind_of[kind]: 2})
+        alone = generate(1, protect=tuple(down), **{FAULT_KINDS[kind].option: 2})
         assert alone.faults[kind] == faults, kind
+        assert [name for name, rolled in alone.faults.items() if rolled] == [kind]
         down |= {fault.host for fault in faults if isinstance(fault, Outage)}
     # Outage victims never overlap, and heal_time covers every window.
     victims = [fault.host for fault in full.records(Outage)]

@@ -7,10 +7,18 @@ itself — while a fleet evolves.  No test code ever calls
 :class:`~repro.cluster.supervisor.Supervisor` must detect the failure
 via heartbeats, promote the hot standby with a bumped fencing term,
 and converge the fleet entirely on its own (see
-:func:`~tests.chaos_harness.supervised_wave`).  Across the sweep, some
-seed must observe the fencing mechanism in action
-(``manager.stale_term_rejections`` > 0), and the relay-announcement
-seeds must actually announce.
+:func:`~tests.chaos_harness.supervised_wave`).  The designation fires
+once; the test never re-issues it.
+
+Acceptance invariants, every seed:
+
+- the fleet ends fully on v2, exactly-once per instance;
+- never-half-applied holds at heal and at the end;
+- the supervisor promoted at least once with no help, under an
+  unbroken succession of terms;
+- across the sweep, at least one seed observes the fencing mechanism
+  in action (``manager.stale_term_rejections`` > 0), and the
+  relay-announcement seeds actually announce.
 """
 
 import pytest

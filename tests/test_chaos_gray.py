@@ -7,9 +7,19 @@ supervised fleet evolves.  Slow is not dead, lost replies are not lost
 requests, and duplicated wire messages are not duplicated invocations;
 the invariants that held under fail-stop chaos
 (:func:`~tests.chaos_harness.supervised_wave`) must hold unchanged when
-every fault is partial.  Exactly-once covers fabric duplication and
-hedged backups; across the sweep, fabric duplicates must actually hit
-the transport's at-most-once table.
+every fault is partial:
+
+- never-half-applied at heal and at convergence;
+- exactly-once application per instance (fabric duplication and
+  hedged backups included);
+- term fencing: a promoted succession of terms, and no instance ever
+  observes a term above the live authority's;
+- across the sweep, fabric duplicates actually hit the transport's
+  at-most-once table.
+
+A crash can beat the sync journal ship, so the promoted authority
+never heard of the wave: the test then re-issues the designation, as a
+client retries a request it never saw acknowledged.
 
 The supervisor runs its detector in phi-accrual mode.  Unit coverage
 for the fault kinds themselves lives in ``tests/test_gray_faults.py``.
@@ -52,6 +62,7 @@ def test_chaos_gray_invariants_hold(seed):
         seed,
         ANNOUNCE_WAVES,
         detector_mode="phi",
+        reissue=True,
         max_failovers=1,
         gray_one_way=1 if seed % 2 == 0 else 0,
         gray_flaps=1 if seed % 4 == 1 else 0,

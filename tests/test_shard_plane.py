@@ -244,3 +244,63 @@ def test_promotion_during_concurrent_rebalance(monkeypatch):
     assert all(t.all_acked for t in trackers.values())
     for loid in loids:
         assert plane.record(loid).obj.version == v2
+
+
+# ----------------------------------------------------------------------
+# Handoff abort with both shards up
+# ----------------------------------------------------------------------
+
+
+def test_handoff_aborts_and_prunes_when_target_standby_lags():
+    """The target's standby is cut off for longer than a handoff waits
+    for it: the handoff aborts with both shards up, the map keeps the
+    source as owner, and the live target drops the rows it adopted —
+    no row outside its map range, with no reconciliation pass."""
+    from repro.core.shardplane import HANDOFF_REPLICATION_S, HandoffAborted
+    from repro.net.faults import PrefixPartition
+
+    runtime, plane, loids = build_plane(shard_count=2, instances=24)
+    plane.supervise(
+        standby_hosts=STANDBY_HOSTS,
+        detector_host_name=DETECTOR_HOST,
+        retry_policy=FAST_RETRY,
+    )
+    sim = runtime.sim
+    standby_host = plane.supervisors[1].link.replica.host_name
+    cut = PrefixPartition(
+        [f"{SHARD_HOSTS[1]}/"],
+        [f"{standby_host}/"],
+        sim.now,
+        sim.now + 3 * HANDOFF_REPLICATION_S,
+    )
+    runtime.network.faults.add_partition(cut)
+    before = plane.map.current
+    moved_span = before.spans_of(0)[0]
+    moved = [
+        loid for loid in loids if moved_span[0] <= partition_slot(loid) < moved_span[1]
+    ]
+    assert moved, "the moved span holds no instance"
+    outcome = {}
+
+    def mover():
+        try:
+            yield from plane.move_range(moved_span, 1)
+        except HandoffAborted:
+            outcome["aborted_at"] = sim.now
+
+    sim.run_process(mover())
+    plane.stop_supervision()
+    sim.run()
+
+    assert "aborted_at" in outcome, "handoff committed without a caught-up standby"
+    assert cut.blocked > 0, "the standby was never cut off"
+    assert plane.map.current is before, "an aborted handoff moved the map"
+    source, target = plane.shards[0], plane.shards[1]
+    assert source.is_active and target.is_active
+    for loid in loids:
+        owner = before.shard_for(loid)
+        assert (loid in target.instance_loids()) == (owner == 1), (
+            f"{loid} on s1, mapped to s{owner}"
+        )
+        assert (loid in source.instance_loids()) == (owner == 0)
+    assert runtime.network.count_value("manager.shard.orphans_pruned") == 0
