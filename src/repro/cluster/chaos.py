@@ -68,10 +68,7 @@ def crash_host(runtime, host):
         for loid in class_object.instance_loids():
             record = class_object.record(loid)
             if record.host is host and record.active:
-                record.active = False
-                record.process = None
-                if record.obj is not None:
-                    record.obj.deactivate()
+                class_object.instance_lost(loid)
                 died.append(loid)
         if class_object.host is host and class_object.is_active:
             class_object.deactivate()

@@ -38,9 +38,15 @@ from repro.core.partition import HASH_SPACE, StalePartitionMap, partition_slot
 from repro.core.policies.evolution import SingleVersionPolicy
 from repro.core.policies.update import ExplicitUpdatePolicy
 from repro.core.recovery import DeliveryStatus, JournalEntry
-from repro.legion.errors import LegionError, StaleManagerTerm, UnknownObject
+from repro.legion.errors import (
+    LegionError,
+    ObjectDeactivated,
+    StaleManagerTerm,
+    UnknownObject,
+)
 from repro.legion.klass import ClassObject, InstanceRecord
 from repro.net import ManagerTerm, RetryPolicy, TransportError, run_windowed
+from repro.sim import Interrupt
 
 #: Spacing for at-least-once propagation deliveries: patient enough to
 #: ride out a host outage plus stale-binding rediscovery, bounded so a
@@ -163,6 +169,9 @@ class DCDOManager(ClassObject):
         self._drafts = {}
         #: Runtime link: implementation type of each live instance.
         self._instance_impl_types = {}
+        #: Runtime link: loid -> the process whose evolution RPC is in
+        #: flight to it.
+        self._shipping = {}
         self._journal = None
         self.propagation_retry_policy = (
             propagation_retry_policy or DEFAULT_PROPAGATION_RETRY
@@ -733,6 +742,16 @@ class DCDOManager(ClassObject):
         if followup is not None:
             self._runtime.sim.spawn(followup, name=f"post-migrate:{record.loid}")
 
+    def instance_lost(self, loid):
+        """As for the class object; an evolution RPC in flight to the
+        dead instance is abandoned now, so the delivery retries (and
+        recovery takes the management lock) without first waiting out
+        the RPC's timeout ladder."""
+        super().instance_lost(loid)
+        shipping = self._shipping.pop(loid, None)
+        if shipping is not None:
+            shipping.interrupt(loid)
+
     def recover_instance(self, loid, host_name=None):
         """Generator: rebuild a crash-lost instance, then re-drive its wave.
 
@@ -789,8 +808,6 @@ class DCDOManager(ClassObject):
         try:
             record = self.record(loid)
             if not record.active:
-                from repro.legion.errors import ObjectDeactivated
-
                 raise ObjectDeactivated(
                     f"instance {loid} is deactivated; it will rebuild at its "
                     f"version on next activation"
@@ -829,20 +846,30 @@ class DCDOManager(ClassObject):
                     timeout_schedule=(60.0, 120.0, 600.0),
                 )
 
+            # Registered so a host crash can abandon the RPC at once
+            # (see instance_lost) instead of after its timeout ladder.
+            self._shipping[loid] = self._runtime.sim.active_process
             try:
-                yield from ship(
-                    self._diff_between(from_version, target_version, enforce_policy)
-                )
-            except DiffBaseMismatch as refusal:
-                # The instance is not at the version the table holds
-                # (e.g. rebuilt and not yet configured): re-diff from
-                # where it really is.
-                self._count("evolution.rediffs")
-                yield from ship(
-                    self._diff_between(
-                        refusal.actual_version, target_version, enforce_policy
+                try:
+                    yield from ship(
+                        self._diff_between(from_version, target_version, enforce_policy)
                     )
-                )
+                except DiffBaseMismatch as refusal:
+                    # The instance is not at the version the table holds
+                    # (e.g. rebuilt and not yet configured): re-diff from
+                    # where it really is.
+                    self._count("evolution.rediffs")
+                    yield from ship(
+                        self._diff_between(
+                            refusal.actual_version, target_version, enforce_policy
+                        )
+                    )
+            except Interrupt:
+                raise ObjectDeactivated(
+                    f"instance {loid} was lost with its host mid-delivery"
+                ) from None
+            finally:
+                self._shipping.pop(loid, None)
             self._commit("instance-version", loid=loid, version=target_version)
             if record.active:
                 record.version_tag = str(target_version)

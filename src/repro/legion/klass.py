@@ -137,6 +137,17 @@ class ClassObject(LegionObject):
         """Records of currently active instances."""
         return [record for record in self._instances.values() if record.active]
 
+    def instance_lost(self, loid):
+        """Mark ``loid`` dead with its crashed host (fail-stop).
+
+        Nothing was captured; :meth:`recover_instance` rebuilds it.
+        """
+        record = self.record(loid)
+        record.active = False
+        record.process = None
+        if record.obj is not None:
+            record.obj.deactivate()
+
     # ------------------------------------------------------------------
     # Creation
     # ------------------------------------------------------------------
@@ -309,6 +320,7 @@ class ClassObject(LegionObject):
                 record.active = True
                 version = getattr(live, "version", None)
                 record.version_tag = str(version) if version else None
+                self._learn_binding(live._binding)
                 return live._binding
             target_host = (
                 self._runtime.host(host_name) if host_name else record.host
@@ -339,6 +351,7 @@ class ClassObject(LegionObject):
             self._runtime.attach_object(obj)
         finally:
             lock.release()
+        self._learn_binding(binding)
         self._runtime.network.count("instance.recoveries")
         self._runtime.trace(
             "instance-recovered",
@@ -347,6 +360,17 @@ class ClassObject(LegionObject):
             from_opr=opr is not None,
         )
         return binding
+
+    def _learn_binding(self, binding):
+        """Seed this class object's own invoker with a binding it minted.
+
+        Its next management RPC to the moved or rebuilt instance then
+        skips the stale-binding timeout walk against the old address.
+        Other clients still discover the move the hard way (§4's
+        stale-binding cost).
+        """
+        if self._invoker is not None:
+            self._invoker.binding_cache.put(binding)
 
     def _transfer_opr(self, source_host, target_host, opr):
         """Generator: move an OPR between vaults over the network."""
@@ -369,13 +393,7 @@ class ClassObject(LegionObject):
             binding = yield from self.activate_instance(loid, host_name=target_host_name)
         finally:
             lock.release()
-        if self._invoker is not None:
-            # The class object minted this binding itself: seed its own
-            # invoker cache so its next management RPC to the moved
-            # instance doesn't pay the stale-binding timeout walk
-            # against the old address.  Other clients still discover
-            # the move the hard way (§4's stale-binding cost).
-            self._invoker.binding_cache.put(binding)
+        self._learn_binding(binding)
         record = self.record(loid)
         self._notify_migrated(record)
         self._runtime.trace(

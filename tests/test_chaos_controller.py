@@ -174,6 +174,15 @@ def test_chaos_controller_selfheals(seed):
     ROLLBACKS[seed] = runtime.network.count_value("controller.rollbacks")
 
 
+def test_chaos_controller_selfheals_wide_sweep_seed_38():
+    """Pinned from the 40-seed sweep: host03 crashes under the promoted
+    manager's in-flight deliveries.  Abandoning them at the crash (not
+    after the 60/120/600 s applyConfiguration ladder) lets recovery and
+    the convergence pass finish inside the settle window, so the
+    controller gets to demote the bad build."""
+    test_chaos_controller_selfheals(38)
+
+
 def test_controller_paths_exercised_across_sweep():
     """Aggregate sanity: the sweep must have driven a real rollback on
     every seed."""

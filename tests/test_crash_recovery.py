@@ -10,8 +10,9 @@ from repro.core import (
     UnknownVersion,
     recover_manager,
 )
-from repro.core.policies import ReliableUpdatePolicy
+from repro.core.policies import GeneralEvolutionPolicy, ReliableUpdatePolicy
 from repro.legion import LegionRuntime
+from repro.legion.errors import ObjectDeactivated
 from repro.net import Endpoint, RetryPolicy
 from repro.sim.errors import SimulationError
 
@@ -281,6 +282,41 @@ def test_recover_instance_rebuilds_at_version_without_opr(runtime):
     # The rebuilt instance serves calls with v2 behaviour (descending).
     client = runtime.make_client("host02")
     assert client.call_sync(victim, "sort", [2, 1, 3]) == [3, 2, 1]
+
+
+def test_host_crash_abandons_an_in_flight_delivery(runtime):
+    """A crash under an evolution RPC fails it at once, so recovery is
+    not locked out for the RPC's 60/120/600 s timeout ladder, and the
+    manager's next RPC reaches the rebuilt instance without a
+    stale-binding walk."""
+    manager = make_sorter_manager(runtime, evolution_policy=GeneralEvolutionPolicy())
+    loid, __ = create_dcdo(runtime, manager, host_name="host01")
+    v2 = manager.derive_version(manager.current_version)
+    manager.incorporate_into(v2, "compare-desc")
+    manager.descriptor_of(v2).enable("compare", "compare-desc", replace_current=True)
+    manager.mark_instantiable(v2)
+    sim = runtime.sim
+    lost_at = []
+
+    def deliver():
+        try:
+            yield from manager.evolve_instance(loid, v2)
+        except ObjectDeactivated:
+            lost_at.append(sim.now)
+
+    delivery = sim.spawn(deliver())
+    sim.run(until=sim.now + 0.01)  # applyConfiguration is in flight
+    crashed_at = sim.now
+    crash_host(runtime, runtime.host("host01"))
+    sim.run(until=delivery)
+    assert lost_at == [crashed_at]
+    runtime.host("host01").restart()
+    sim.run_process(manager.recover_instance(loid))
+    assert sim.now - crashed_at < 5.0
+    started = sim.now
+    sim.run_process(manager.evolve_instance(loid, v2))
+    assert manager.instance_version(loid) == v2
+    assert sim.now - started < 5.0
 
 
 def test_recover_instance_restores_state_from_opr_when_present(runtime):
