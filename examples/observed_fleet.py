@@ -14,7 +14,7 @@ Run with::
 from repro.cluster import build_wan
 from repro.core.policies import LazyUpdatePolicy, SingleVersionPolicy
 from repro.legion import LegionRuntime
-from repro.obs import Tracer, collect_system_report, render_report
+from repro.obs import collect_system_report, render_report
 from repro.workloads import (
     ClosedLoopClient,
     build_component_version,
@@ -25,7 +25,15 @@ from repro.workloads import (
 
 def main():
     runtime = LegionRuntime(build_wan(2, 2, seed=17))
-    runtime.tracer = Tracer(runtime.sim)
+    # The configuration plane's history, as it is published.
+    timeline = []
+    for topic in (
+        "manager.current-version",
+        "manager.version-instantiable",
+        "dcdo.evolved",
+        "class.instance-migrated",
+    ):
+        runtime.network.bus.subscribe(topic, timeline.append)
 
     manager, __ = make_noop_manager(
         runtime,
@@ -76,15 +84,8 @@ def main():
     print(f"\nclient traffic: {total_calls} calls, {total_errors} errors")
 
     print("\n=== evolution timeline (configuration plane) ===")
-    interesting = (
-        "current-version-set",
-        "evolved",
-        "instance-migrated",
-        "version-instantiable",
-    )
-    for event in runtime.tracer.events:
-        if event.category in interesting:
-            print(event)
+    for event in timeline:
+        print(event)
 
     lagging = [
         str(loid)

@@ -115,12 +115,13 @@ class ReactiveController:
         self.shard_wave_stats = {}
 
         self._inbox = deque(maxlen=512)
+        #: (pattern, callback) pairs held on the bus while started.
+        self._subscriptions = []
         self._cooldowns = {}  # (policy, target) -> last action time
         self._recent_actions = deque()  # admission times, for the budget
         self._last_manager = None
         self._intent_seq = 0
         self._stopped = False
-        self._subscribed = False
         self._process = None
 
     # ------------------------------------------------------------------
@@ -142,9 +143,10 @@ class ReactiveController:
         that would have collected them after a promotion never runs.
         """
         self._stopped = True
-        if self._subscribed:
-            self.runtime.network.bus.unsubscribe("*", self._on_event)
-            self._subscribed = False
+        bus = self.runtime.network.bus
+        for pattern, callback in self._subscriptions:
+            bus.unsubscribe(pattern, callback)
+        self._subscriptions = []
         manager = self._resolve_manager()
         if manager is not None and not manager.deposed:
             manager.gc_remediations()
@@ -155,25 +157,37 @@ class ReactiveController:
     # ------------------------------------------------------------------
 
     def _subscribe(self):
-        if not self._subscribed:
-            self.runtime.network.bus.subscribe("*", self._on_event)
-            self._subscribed = True
+        """Subscribe to the topics the policies read, and no others.
 
-    def _on_event(self, event):
-        """Bus callback: record only — all action happens in our tick."""
-        self._inbox.append(event)
-        if event.topic == "wave.complete":
-            shard_id = event.details.get("shard_id")
-            duration = event.details.get("duration_s")
-            if shard_id is not None and duration is not None:
-                entry = self.shard_wave_stats.setdefault(
-                    shard_id, {"ewma": 0.0, "samples": 0}
-                )
-                if entry["samples"] == 0:
-                    entry["ewma"] = duration
-                else:
-                    entry["ewma"] += _WAVE_EWMA_ALPHA * (duration - entry["ewma"])
-                entry["samples"] += 1
+        Per-instance events (``dcdo.evolved``, ``manager.*`` commits)
+        far outnumber the signals; a catch-all subscription would push
+        an ``slo.breach`` out of the bounded inbox before a tick reads
+        it.
+        """
+        if self._subscriptions:
+            return
+        patterns = dict.fromkeys(
+            topic for policy in self.policies for topic in policy.topics
+        )
+        self._subscriptions = [(pattern, self._inbox.append) for pattern in patterns]
+        self._subscriptions.append(("wave.complete", self._on_wave_complete))
+        bus = self.runtime.network.bus
+        for pattern, callback in self._subscriptions:
+            bus.subscribe(pattern, callback)
+
+    def _on_wave_complete(self, event):
+        """Fold one wave's duration into its shard's EWMA."""
+        shard_id = event.details.get("shard_id")
+        duration = event.details.get("duration_s")
+        if shard_id is not None and duration is not None:
+            entry = self.shard_wave_stats.setdefault(
+                shard_id, {"ewma": 0.0, "samples": 0}
+            )
+            if entry["samples"] == 0:
+                entry["ewma"] = duration
+            else:
+                entry["ewma"] += _WAVE_EWMA_ALPHA * (duration - entry["ewma"])
+            entry["samples"] += 1
 
     def _drain(self):
         events = list(self._inbox)
@@ -333,8 +347,8 @@ class ReactiveController:
                     "result": result,
                 }
             )
-            self.runtime.trace(
-                "controller-action",
+            self.runtime.network.publish(
+                "controller.action",
                 self.name,
                 policy=intent.policy,
                 kind=intent.kind,

@@ -398,12 +398,6 @@ class Supervisor:
         runtime.network.metrics.timer("supervisor.takeover_s").record(
             runtime.sim.now - started
         )
-        runtime.trace(
-            "supervisor-promoted",
-            self.type_name,
-            host=manager.host.name,
-            term=manager.term,
-        )
         runtime.network.publish(
             "supervisor.promoted",
             self.type_name,

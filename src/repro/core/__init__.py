@@ -70,7 +70,7 @@ from repro.core.errors import (
 from repro.core.functions import FunctionDef, Marking
 from repro.core.ico import ImplementationComponentObject
 from repro.core.impltype import NATIVE, ImplementationType
-from repro.core.manager import DCDOManager, WaveMode, WavePolicy, define_dcdo_type
+from repro.core.manager import DCDOManager, WavePolicy, define_dcdo_type
 from repro.core.manager_state import CanaryState, ManagerState, VersionRecord
 from repro.core.policies.canary import (
     CanaryOutcome,
@@ -168,7 +168,6 @@ __all__ = [
     "VersionRecord",
     "VersionTree",
     "WaveAborted",
-    "WaveMode",
     "WavePolicy",
     "annotate_component",
     "check_closure",

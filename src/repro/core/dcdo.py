@@ -370,8 +370,8 @@ class DCDO(LegionObject):
             calibration.function_register_s if bootstrap else calibration.dfm_update_s
         )
         yield self.host.cpu_work(len(component.functions) * per_function)
-        self.runtime.trace(
-            "component-incorporated",
+        self.runtime.network.publish(
+            "dcdo.component-incorporated",
             self.loid,
             component=component.component_id,
             cached=was_cached,
@@ -450,7 +450,9 @@ class DCDO(LegionObject):
         entry_count = len(self.dfm.entries_in(component_id))
         self.dfm.remove_component(component_id, validate=validate)
         yield self.host.cpu_work(entry_count * self.calibration.dfm_update_s)
-        self.runtime.trace("component-removed", self.loid, component=component_id)
+        self.runtime.network.publish(
+            "dcdo.component-removed", self.loid, component=component_id
+        )
         return True
 
     def _await_component_idle(self, component_id):
@@ -654,8 +656,8 @@ class DCDO(LegionObject):
             )
         self.evolutions_applied += 1
         self._network_count("dcdo.commits")
-        self.runtime.trace(
-            "evolved",
+        self.runtime.network.publish(
+            "dcdo.evolved",
             self.loid,
             from_version=str(from_version) if from_version else None,
             to_version=str(self._version) if self._version else None,
@@ -694,8 +696,8 @@ class DCDO(LegionObject):
             raise RollbackFailed(cause, rollback_error)
         self.rollbacks += 1
         self._network_count("dcdo.rollbacks")
-        self.runtime.trace(
-            "evolution-rolled-back",
+        self.runtime.network.publish(
+            "dcdo.rolled-back",
             self.loid,
             cause=type(cause).__name__,
             target=str(txn.diff.target_version) if txn.diff.target_version else None,

@@ -336,6 +336,9 @@ class DFMDescriptor:
         copy._dependencies = list(self._dependencies)
         return copy
 
+    def __repr__(self):
+        return f"<DFMDescriptor components={sorted(self._component_refs)}>"
+
     def functionally_equivalent(self, other):
         """§2.1 equivalence: same components, same enabled/exported map."""
         return (

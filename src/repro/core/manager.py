@@ -14,7 +14,6 @@ manages."  It extends the Legion class object with:
 - the evolution entry points the update policies drive.
 """
 
-import enum
 from dataclasses import dataclass
 
 from repro.core.dcdo import DCDO, RemovePolicy
@@ -56,50 +55,39 @@ DEFAULT_PROPAGATION_RETRY = RetryPolicy(
 )
 
 
-class WaveMode(enum.Enum):
-    """What a propagation wave does about delivery failures."""
-
-    #: Keep converging: failed deliveries stay FAILED until a later
-    #: re-propagation re-arms them (the pre-transactional behaviour).
-    CONVERGE = "converge"
-    #: All-or-nothing: past the failure threshold the wave rolls every
-    #: committed instance back to its prior version and marks itself
-    #: aborted.
-    ABORT = "abort"
-
-
 @dataclass(frozen=True)
 class WavePolicy:
     """How :meth:`DCDOManager.propagate_version` handles a failing wave.
 
-    ``abort_threshold=k`` means the wave tolerates up to ``k`` FAILED
-    deliveries; one more and it aborts — already-committed instances
-    are evolved *back* to the versions they were on when the wave
-    started (captured in the tracker's ``prior_versions``), the wave
-    is journaled ABORTED, and :class:`WaveAborted` is raised.  The
-    abort decision and every rollback are write-ahead logged, so a
-    manager crash mid-abort resumes — and completes — the abort on
-    recovery.
+    With no ``abort_threshold`` the wave converges: failed deliveries
+    stay FAILED until a later re-propagation re-arms them.
+    ``abort_threshold=k`` makes it all-or-nothing: the wave tolerates
+    up to ``k`` FAILED deliveries; one more and it aborts —
+    already-committed instances are evolved *back* to the versions
+    they were on when the wave started (captured in the tracker's
+    ``prior_versions``), the wave is journaled ABORTED, and
+    :class:`WaveAborted` is raised.  The abort decision and every
+    rollback are write-ahead logged, so a manager crash mid-abort
+    resumes — and completes — the abort on recovery.
     """
 
-    mode: WaveMode = WaveMode.CONVERGE
-    abort_threshold: int = 0
+    abort_threshold: int = None
 
     @classmethod
     def converge(cls):
-        """Today's behaviour: failures wait for a later re-propagation."""
-        return cls(mode=WaveMode.CONVERGE)
+        """Failures wait for a later re-propagation."""
+        return cls()
 
     @classmethod
     def abort_after(cls, threshold):
         """Abort (and roll back) once more than ``threshold`` deliveries fail."""
         if threshold < 0:
             raise ValueError("abort_threshold must be >= 0")
-        return cls(mode=WaveMode.ABORT, abort_threshold=threshold)
+        return cls(abort_threshold=threshold)
 
     def should_abort(self, failed_count):
         """True when ``failed_count`` failures cross the threshold."""
-        return self.mode is WaveMode.ABORT and failed_count > self.abort_threshold
+        return self.abort_threshold is not None and failed_count > self.abort_threshold
 
 
 class DCDOManager(ClassObject):
@@ -230,11 +218,14 @@ class DCDOManager(ClassObject):
             journal.meta["partition_map"] = self._partition_view
 
     def _commit(self, kind, **data):
-        """Make one durable change: journal it, then apply it.
+        """Make one durable change: journal it, apply it, publish it.
 
         The entry is appended to the attached journal (if any) before
         :func:`~repro.core.manager_state.apply` changes :attr:`state`,
-        so the journal always holds every change the state shows.
+        so the journal always holds every change the state shows.  The
+        applied change is then published once as ``manager.<kind>``
+        with the entry's data as details.  Replay applies entries
+        without coming here, so it publishes nothing.
         """
         journal = self._journal
         if journal is None:
@@ -243,6 +234,7 @@ class DCDOManager(ClassObject):
             entry = journal.append(kind, **data)
             self._publish_journal_gauges()
         apply(self.state, entry)
+        self._runtime.network.bus.publish(f"manager.{kind}", self.loid, **data)
 
     def _publish_journal_gauges(self):
         if self._journal is None:
@@ -282,7 +274,6 @@ class DCDOManager(ClassObject):
         """
         self._commit("term", number=self.state.term + 1)
         self._count("manager.term_bumps")
-        self._runtime.trace("manager-term", self.loid, term=self.state.term)
         return self.state.term
 
     def _fence(self, error):
@@ -297,8 +288,8 @@ class DCDOManager(ClassObject):
             return
         self.deposed = True
         self._count("manager.fenced_stepdowns")
-        self._runtime.trace(
-            "manager-fenced",
+        self._runtime.network.publish(
+            "manager.fenced",
             self.loid,
             term=self.state.term,
             latest=getattr(error, "latest", None),
@@ -601,12 +592,6 @@ class DCDOManager(ClassObject):
             descriptor=record.descriptor.clone(),
         )
         del self._drafts[version]
-        self._runtime.trace(
-            "version-instantiable",
-            self.loid,
-            version=str(version),
-            components=len(record.descriptor.component_ids),
-        )
 
     def set_current_version(self, version):
         """Designate the official current version.
@@ -623,12 +608,6 @@ class DCDOManager(ClassObject):
                 f"version {version} must be instantiable before becoming current"
             )
         self._commit("current-version", version=version)
-        self._runtime.trace(
-            "current-version-set",
-            self.loid,
-            version=str(version),
-            policy=self.update_policy.name,
-        )
         propagation = self.update_policy.on_new_current_version(self)
         if propagation is not None:
             self._runtime.sim.run_process(propagation)
@@ -900,36 +879,6 @@ class DCDOManager(ClassObject):
             result = self.state.instance_versions.get(loid)
         return result
 
-    def update_all_instances(self, target_version=None, window=None):
-        """Generator: evolve every active instance, windowed.
-
-        At most ``window`` (default: the manager's ``fanout_window``)
-        evolutions are in flight at once; each freed slot immediately
-        starts the next instance.  ``window=1`` reproduces the old
-        sequential loop.  Returns ``{loid: version reached}`` in
-        instance-creation order; the first delivery error (if any) is
-        re-raised after the wave, matching the sequential semantics.
-        """
-        window = window or self.fanout_window
-        loids = [
-            loid for loid in self.instance_loids() if self.record(loid).active
-        ]
-        thunks = [
-            lambda l=loid: self.try_evolve_instance(l, target_version)
-            for loid in loids
-        ]
-        outcomes = yield from run_windowed(self._runtime.sim, thunks, window)
-        results = {}
-        first_error = None
-        for loid, (ok, value) in zip(loids, outcomes):
-            if ok:
-                results[loid] = value
-            elif first_error is None:
-                first_error = value
-        if first_error is not None:
-            raise first_error
-        return results
-
     # ------------------------------------------------------------------
     # Ack-tracked, at-least-once propagation
     # ------------------------------------------------------------------
@@ -939,8 +888,7 @@ class DCDOManager(ClassObject):
     ):
         """Generator: reliably push ``version`` to its instances.
 
-        The fault-tolerant counterpart of :meth:`update_all_instances`:
-        each instance gets a tracked delivery (PENDING → ACKED/FAILED),
+        Each instance gets a tracked delivery (PENDING → ACKED/FAILED),
         deliveries run concurrently with a bounded in-flight window
         (default: the manager's ``fanout_window``), failures are
         retried with backoff per the retry policy, and every state
@@ -1027,7 +975,6 @@ class DCDOManager(ClassObject):
             raise WaveAborted(version, failed, wave.abort_threshold)
         self._commit("propagation-complete", version=version)
         tracker.completed_at = self._runtime.sim.now
-        self._runtime.trace("propagation-complete", self.loid, **tracker.summary())
         self._runtime.network.publish(
             "wave.complete",
             self.type_name,
@@ -1628,12 +1575,6 @@ class DCDOManager(ClassObject):
         if not tracker.aborting:
             self._commit("wave-aborting", version=tracker.version)
             self._count("wave.aborts")
-            self._runtime.trace(
-                "wave-aborting",
-                self.loid,
-                version=str(tracker.version),
-                failed=tracker.count(DeliveryStatus.FAILED),
-            )
         for delivery in tracker.deliveries():
             if delivery.status is not DeliveryStatus.ACKED:
                 continue
@@ -1671,7 +1612,6 @@ class DCDOManager(ClassObject):
                 return
         self._commit("wave-aborted", version=tracker.version)
         tracker.completed_at = sim.now
-        self._runtime.trace("wave-aborted", self.loid, **tracker.summary())
 
     def _reconcile_canary_abort(self, canary, tracker):
         """Generator: verify admitted instances really left the version.
@@ -1871,12 +1811,6 @@ class DCDOManager(ClassObject):
                 bake_s=bake_s,
             )
             self._count("canary.waves")
-            self._runtime.trace(
-                "canary-started",
-                self.loid,
-                version=str(version),
-                stages=list(stages),
-            )
         return self.state.canaries[version]
 
     def canary_state(self, version):
@@ -1926,13 +1860,6 @@ class DCDOManager(ClassObject):
         canary = self._require_canary(version)
         self._commit("canary-gate", version=version, stage=canary.stage_index + 1)
         self._count("canary.gates_passed")
-        self._runtime.trace(
-            "canary-gate",
-            self.loid,
-            version=str(version),
-            stage=canary.stage_index,
-            admitted=len(canary.admitted),
-        )
         return canary.stage_index
 
     def mark_canary_breached(self, version, reason):
@@ -1948,13 +1875,6 @@ class DCDOManager(ClassObject):
             return canary
         self._commit("canary-breached", version=version, reason=reason)
         self._count("canary.breaches")
-        self._runtime.trace(
-            "canary-breached",
-            self.loid,
-            version=str(version),
-            reason=reason,
-            admitted=len(canary.admitted),
-        )
         return canary
 
     def abort_wave(self, version, reason="slo-breach"):
@@ -1980,9 +1900,6 @@ class DCDOManager(ClassObject):
                 settled = yield from self._reconcile_canary_abort(canary, None)
                 if settled and self.is_active and not self.deposed:
                     self._commit("canary-aborted", version=version)
-                    self._runtime.trace(
-                        "canary-aborted", self.loid, version=str(version)
-                    )
             return None
         if not tracker.aborted:
             yield from self._finish_abort(tracker)
@@ -2005,12 +1922,6 @@ class DCDOManager(ClassObject):
             self._commit("canary-complete", version=version)
             self._commit("current-version", version=version)
             self._count("canary.completions")
-            self._runtime.trace(
-                "canary-complete",
-                self.loid,
-                version=str(version),
-                admitted=len(canary.admitted),
-            )
         return canary
 
     def _require_canary(self, version):
@@ -2091,10 +2002,6 @@ class DCDOManager(ClassObject):
                 term=self.state.term,
             )
             self._count("remediation.intents")
-            self._runtime.trace(
-                "remediation-started", self.loid, intent=intent_id, action=action,
-                target=str(target),
-            )
         return self.state.remediations[intent_id]
 
     def complete_remediation(self, intent_id, outcome="done"):
@@ -2104,9 +2011,6 @@ class DCDOManager(ClassObject):
             return record
         self._commit("remediation-closed", intent_id=intent_id, outcome=outcome)
         self._count(f"remediation.{outcome}")
-        self._runtime.trace(
-            "remediation-closed", self.loid, intent=intent_id, outcome=outcome
-        )
         return record
 
     def open_remediations(self):
@@ -2165,8 +2069,8 @@ class DCDOManager(ClassObject):
             host_name = obj.host.name if obj is not None else None
             yield from self._restore_component(component, ico_loid, host_name)
             self._count("ico.recoveries")
-            self._runtime.trace(
-                "ico-restored", ico_loid, component=component_id
+            self._runtime.network.publish(
+                "ico.restored", ico_loid, component=component_id
             )
             restored.append(component_id)
         return restored

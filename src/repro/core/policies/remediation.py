@@ -71,6 +71,9 @@ class RemediationPolicy:
     #: Seconds the controller waits before acting on the same
     #: (policy, target) pair again.
     cooldown_s = 30.0
+    #: Bus topics ``evaluate`` reads from ``ctx.events``; the
+    #: controller subscribes to these and no others.
+    topics = ()
 
     def evaluate(self, ctx):
         """Return a list of :class:`RemediationIntent` proposals."""
@@ -181,15 +184,14 @@ class DemoteDegradedVersion(RemediationPolicy):
 
     name = "demote-degraded-version"
     cooldown_s = 60.0
+    topics = ("slo.breach",)
 
     def __init__(self, streams=None):
         #: Optional SLO stream-name allowlist; None senses every stream.
         self.streams = set(streams) if streams else None
 
     def _breached(self, ctx):
-        for event in ctx.events:
-            if event.topic != "slo.breach":
-                continue
+        for event in ctx.events_on("slo.breach"):
             if self.streams is None or event.subject in self.streams:
                 return str(event.subject)
         for key, snap in ctx.runtime.network.slo_snapshot().items():
@@ -276,12 +278,11 @@ class PrewarmBlobCaches(RemediationPolicy):
 
     name = "prewarm-blob-caches"
     cooldown_s = 5.0
+    topics = ("deploy.scheduled",)
 
     def evaluate(self, ctx):
         intents = []
-        for event in ctx.events:
-            if event.topic != "deploy.scheduled":
-                continue
+        for event in ctx.events_on("deploy.scheduled"):
             version = event.details.get("version")
             if version is None:
                 continue

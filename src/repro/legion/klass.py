@@ -226,8 +226,8 @@ class ClassObject(LegionObject):
         self._runtime.attach_object(obj)
         self.instances_created += 1
         self._instance_created(record)
-        self._runtime.trace(
-            "instance-created", loid, host=host.name, version=version_tag
+        self._runtime.network.publish(
+            "class.instance-created", loid, host=host.name, version=version_tag
         )
         return loid
 
@@ -353,8 +353,8 @@ class ClassObject(LegionObject):
             lock.release()
         self._learn_binding(binding)
         self._runtime.network.count("instance.recoveries")
-        self._runtime.trace(
-            "instance-recovered",
+        self._runtime.network.publish(
+            "class.instance-recovered",
             loid,
             host=record.host.name,
             from_opr=opr is not None,
@@ -396,8 +396,8 @@ class ClassObject(LegionObject):
         self._learn_binding(binding)
         record = self.record(loid)
         self._notify_migrated(record)
-        self._runtime.trace(
-            "instance-migrated",
+        self._runtime.network.publish(
+            "class.instance-migrated",
             loid,
             source=source_host,
             target=record.host.name,

@@ -345,8 +345,8 @@ class LegionObject:
             latest = self._terms_seen.get(term.scope)
             if latest is not None and term.number < latest:
                 self._runtime.network.count("manager.stale_term_rejections")
-                self._runtime.trace(
-                    "stale-term-rejected",
+                self._runtime.network.publish(
+                    "object.stale-term-rejected",
                     self._loid,
                     scope=term.scope,
                     stale=term.number,

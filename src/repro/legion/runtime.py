@@ -85,10 +85,6 @@ class LegionRuntime:
         self.binding_agent = BindingAgent(testbed.network)
         self.implementation_store = ImplementationStore(self)
         self.context_service = ContextService(testbed.network)
-        #: Optional :class:`~repro.obs.trace.Tracer`; when attached,
-        #: configuration-plane events are recorded through
-        #: :meth:`trace`.
-        self.tracer = None
         self._classes = {}
         self._objects = {}
         # Host name -> {loid: obj} in attach order.  Lets per-host
@@ -96,11 +92,6 @@ class LegionRuntime:
         # colocated objects without an O(total objects) scan; kept in
         # sync by :meth:`attach_object` and migration's ``moved_to``.
         self._objects_by_host = {}
-
-    def trace(self, category, subject, **details):
-        """Record a trace event if a tracer is attached (else no-op)."""
-        if self.tracer is not None:
-            self.tracer.record(category, subject, **details)
 
     @property
     def context_space(self):

@@ -111,10 +111,11 @@ class Network:
         # until enable_health() arms it, so calibrated runs that never
         # opt in pay a single attribute check on the health hooks.
         self._health = None
-        # Shared event bus: health/SLO/supervisor/chaos transitions are
-        # published here so reactive consumers (the controller) sense
-        # without polling.  Always present — publishing with no
-        # subscribers is one dict lookup and a ring append.
+        # The system's one event stream (topics tabled in
+        # repro.obs.bus): every layer publishes its transitions here so
+        # consumers (the controller, tests, reports) sense without
+        # polling.  Always present — publishing with no subscribers is
+        # two dict lookups and a ring append.
         from repro.obs.bus import EventBus
 
         self.bus = EventBus(sim)

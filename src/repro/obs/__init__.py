@@ -1,10 +1,11 @@
 """Observability: metrics primitives and whole-system reports.
 
 Long-running grid services need to be observable while they evolve;
-this package provides the counters/timers used by examples and a
-:func:`collect_system_report` that snapshots every built-in counter in
-a runtime (network, caches, bindings, invokers, DFMs, managers) into
-one structured report.
+this package provides the one event stream every layer publishes its
+transitions on (:class:`EventBus`), the counters/timers used by
+examples, and a :func:`collect_system_report` that snapshots every
+built-in counter in a runtime (network, caches, bindings, invokers,
+DFMs, managers) into one structured report.
 """
 
 from repro.obs.bus import Event, EventBus
@@ -12,7 +13,6 @@ from repro.obs.health import HealthRegistry, PeerHealth
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
 from repro.obs.report import SystemReport, collect_system_report, render_report
 from repro.obs.slo import SLO, SLOMonitor, SLOStatus
-from repro.obs.trace import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
@@ -27,8 +27,6 @@ __all__ = [
     "SLOStatus",
     "SystemReport",
     "Timer",
-    "TraceEvent",
-    "Tracer",
     "collect_system_report",
     "render_report",
 ]

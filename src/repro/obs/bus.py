@@ -1,14 +1,39 @@
-"""A lightweight publish/subscribe event bus on the simulator clock.
+"""The system's one event stream: synchronous pub/sub on the simulator clock.
 
-The fault-tolerance layers each keep private state — the
-:class:`~repro.obs.health.HealthRegistry` its quarantine flags, the
-:class:`~repro.obs.slo.SLOMonitor` its breach log, the chaos harness
-its crash plan — and until now nothing could *react* to a transition
-without polling every one of them.  The :class:`EventBus` closes that
-gap: producers (the network fabric, the health registry, SLO monitors,
-the chaos coordinator, the supervisor) publish typed events as their
-state transitions, and consumers (the reactive controller, tests,
-report tooling) subscribe by topic.
+Every layer publishes its transitions here, and consumers (the
+reactive controller, tests, report tooling, operators) subscribe by
+topic.  Topics are dotted strings.  A subscription to an exact topic
+receives that topic, one to a ``"prefix."`` string every topic under
+it, and one to ``"*"`` everything.
+
+Topic                          Publisher                        Subject
+-----------------------------  -------------------------------  ---------------
+manager.<kind>                 DCDOManager._commit              manager LOID
+manager.fenced                 a manager standing down          manager LOID
+ico.restored                   manager ICO recovery             ICO LOID
+wave.complete                  DCDOManager.propagate_version    type name
+dcdo.component-incorporated    DCDO                             DCDO LOID
+dcdo.component-removed         DCDO                             DCDO LOID
+dcdo.evolved                   DCDO                             DCDO LOID
+dcdo.rolled-back               DCDO                             DCDO LOID
+class.instance-created         class objects                    instance LOID
+class.instance-recovered       class objects                    instance LOID
+class.instance-migrated        class objects                    instance LOID
+object.stale-term-rejected     any Legion object                object LOID
+host.crashed, host.restarted   chaos coordinator                host name
+health.quarantined, .recovered health registry                  host name
+slo.breach, slo.recovered      SLO monitors                     stream name
+detector.suspicion, .recovered failure detector                 watch key
+supervisor.promoted            supervisor                       type name
+controller.action              reactive controller              controller name
+deploy.scheduled               whoever plans a deploy           type name
+
+``manager.<kind>`` is one topic per journal entry kind
+(``manager.instance-version``, ``manager.propagation-ack``,
+``manager.current-version`` ...), published once per *live* commit
+with the entry's data as details.  Journal replay, standby promotion
+and checkpoint load rebuild state without publishing, so the stream
+holds each configuration-plane change exactly once.
 
 Delivery is synchronous and in-process: ``publish`` invokes every
 matching callback before returning, on the publisher's stack.
@@ -16,28 +41,28 @@ Subscribers that need to *act* (anything that yields simulated time)
 must therefore only record the event and act from their own process —
 the bus is a sensing fabric, not an execution engine.  A bounded ring
 of recent events is kept for reports and debugging.
-
-Topics are dotted strings (``"health.quarantined"``,
-``"slo.breach"``, ``"host.crashed"``); a subscription to ``"*"``
-receives everything, and a subscription to a ``"prefix."`` string
-receives every topic under that prefix.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
 class Event:
     """One published occurrence."""
 
-    at: float
-    topic: str
-    subject: object
-    details: dict = field(default_factory=dict)
+    __slots__ = ("at", "topic", "subject", "details")
+
+    def __init__(self, at, topic, subject=None, details=None):
+        self.at = at
+        self.topic = topic
+        self.subject = subject
+        self.details = {} if details is None else details
 
     def __repr__(self):
         return f"<Event {self.topic} {self.subject!r} at={self.at:.3f}>"
+
+    def __str__(self):
+        details = " ".join(f"{key}={value}" for key, value in sorted(self.details.items()))
+        return f"[{self.at:12.6f}] {self.topic:<28s} {self.subject} {details}".rstrip()
 
 
 class EventBus:
@@ -46,6 +71,7 @@ class EventBus:
     def __init__(self, sim, history=256):
         self._sim = sim
         self._subscribers = {}  # pattern -> list of callbacks
+        self._routes = {}  # topic -> tuple of matching callbacks
         self.published = 0
         self.delivered = 0
         self.recent = deque(maxlen=history)
@@ -58,6 +84,7 @@ class EventBus:
         every topic under it, or ``"*"`` for everything.
         """
         self._subscribers.setdefault(pattern, []).append(callback)
+        self._routes.clear()
         return callback
 
     def unsubscribe(self, pattern, callback):
@@ -67,21 +94,26 @@ class EventBus:
             callbacks.remove(callback)
             if not callbacks:
                 del self._subscribers[pattern]
+            self._routes.clear()
 
     def publish(self, topic, subject=None, **details):
         """Deliver one event to every matching subscriber; returns it."""
-        event = Event(
-            at=self._sim.now, topic=topic, subject=subject, details=details
-        )
+        event = Event(self._sim.now, topic, subject, details)
         self.published += 1
-        self._counts[topic] = self._counts.get(topic, 0) + 1
+        counts = self._counts
+        counts[topic] = counts.get(topic, 0) + 1
         self.recent.append(event)
-        for pattern, callbacks in list(self._subscribers.items()):
-            if not self._matches(pattern, topic):
-                continue
-            for callback in list(callbacks):
-                callback(event)
-                self.delivered += 1
+        callbacks = self._routes.get(topic)
+        if callbacks is None:
+            callbacks = self._routes[topic] = tuple(
+                callback
+                for pattern, subscribed in self._subscribers.items()
+                if self._matches(pattern, topic)
+                for callback in subscribed
+            )
+        for callback in callbacks:
+            callback(event)
+            self.delivered += 1
         return event
 
     @staticmethod

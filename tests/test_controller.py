@@ -480,6 +480,38 @@ def test_controller_demotes_degraded_version():
     assert manager.remediation_status()["total"] >= 1
 
 
+def test_slo_breach_survives_a_burst_of_instance_events():
+    """The controller subscribes only to the topics its policies read,
+    so a wave's per-instance events — 600 of them within one tick —
+    cannot push an ``slo.breach`` out of its bounded inbox."""
+    runtime = LegionRuntime(build_lan(4, seed=3))
+    manager = make_sorter_manager(runtime, journal=ManagerJournal(name="Sorter"))
+    loids = [create_dcdo(runtime, manager)[0] for __ in range(2)]
+    v1 = manager.current_version
+    v2 = manager.derive_version(v1)
+    manager.mark_instantiable(v2)
+    manager.set_current_version(v2)  # explicit policy: designated only
+    controller = ReactiveController(
+        runtime, "Sorter", policies=[DemoteDegradedVersion()], interval_s=1.0
+    ).start()
+    runtime.network.publish("slo.breach", "Sorter", error_rate=0.5)
+    for index in range(200):
+        loid = loids[index % 2]
+        runtime.network.publish("dcdo.evolved", loid, to_version=str(v2))
+        runtime.network.publish(
+            "manager.instance-version", manager.loid, loid=loid, version=v2
+        )
+        runtime.network.publish(
+            "manager.propagation-ack", manager.loid, loid=loid, version=v2
+        )
+    runtime.sim.run_process(_sleep(runtime, 5.0))
+    controller.stop()
+    assert [entry["policy"] for entry in controller.remediation_log] == [
+        "demote-degraded-version"
+    ]
+    assert manager.current_version == v1
+
+
 def test_controller_migrates_off_quarantined_host():
     runtime, manager, journal, loids = _noop_fleet(instances=4)
     sim = runtime.sim
@@ -575,12 +607,12 @@ def test_controller_splits_hot_shard():
         policies=[RebalanceHotShard(outlier_factor=2.0, min_samples=3)],
         interval_s=1.0,
     )
-    # Feed the wave-latency signal directly: shard 1 is persistently 4x
-    # slower than shard 0.
-    for __ in range(5):
-        controller._on_event(_wave_event(runtime, shard_id=0, duration_s=1.0))
-        controller._on_event(_wave_event(runtime, shard_id=1, duration_s=4.0))
     controller.start()
+    # Feed the wave-latency signal on the bus: shard 1 is persistently
+    # 4x slower than shard 0.
+    for __ in range(5):
+        runtime.network.publish("wave.complete", "Sorter", shard_id=0, duration_s=1.0)
+        runtime.network.publish("wave.complete", "Sorter", shard_id=1, duration_s=4.0)
     runtime.sim.run_process(_sleep(runtime, 30.0))
     controller.stop()
     runtime.sim.run()
@@ -592,17 +624,6 @@ def test_controller_splits_hot_shard():
     ]
     assert splits and splits[0]["outcome"] == "done"
     assert runtime.network.count_value("controller.shard_splits") == 1
-
-
-def _wave_event(runtime, shard_id, duration_s):
-    from repro.obs.bus import Event
-
-    return Event(
-        at=runtime.sim.now,
-        topic="wave.complete",
-        subject="Sorter",
-        details={"shard_id": shard_id, "duration_s": duration_s},
-    )
 
 
 def test_default_policy_registry_complete():

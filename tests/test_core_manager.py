@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     ComponentBuilder,
+    DeliveryStatus,
     UnknownVersion,
     VersionId,
     VersionNotConfigurable,
@@ -258,13 +259,13 @@ def test_evolution_survives_state(runtime):
     assert obj is manager.record(loid).obj  # same live object, no restart
 
 
-def test_update_all_instances(runtime):
+def test_propagate_version_reaches_every_instance(runtime):
     manager = make_sorter_manager(runtime, evolution_policy=GeneralEvolutionPolicy())
     loids = [create_dcdo(runtime, manager)[0] for __ in range(3)]
     version = prepare_descending_version(manager)
     manager.set_current_version(version)
-    results = runtime.sim.run_process(manager.update_all_instances())
-    assert all(results[loid] == version for loid in loids)
+    tracker = runtime.sim.run_process(manager.propagate_version(version))
+    assert tracker.loids_in(DeliveryStatus.ACKED) == loids
     assert all(manager.instance_version(loid) == version for loid in loids)
 
 

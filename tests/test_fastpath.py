@@ -4,6 +4,7 @@ import pytest
 
 from tests.conftest import create_dcdo, make_sorter_components, make_sorter_manager
 
+from repro.core import DeliveryStatus
 from repro.core.dfm import DynamicFunctionMapper
 from repro.core.stub import DCDOStub
 from repro.legion.errors import MethodNotFound
@@ -382,14 +383,14 @@ def derive_desc_version(manager):
     return v2
 
 
-def test_update_all_instances_windowed_matches_sequential(runtime):
+def test_propagate_version_windowed_reaches_every_instance(runtime):
     manager = make_sorter_manager(runtime)
     loids = [create_dcdo(runtime, manager)[0] for __ in range(6)]
     v2 = derive_desc_version(manager)
     manager.set_current_version(v2)
-    results = runtime.sim.run_process(manager.update_all_instances(window=4))
-    assert set(results) == set(loids)
-    assert all(version == v2 for version in results.values())
+    tracker = runtime.sim.run_process(manager.propagate_version(v2, window=4))
+    assert set(tracker.loids_in(DeliveryStatus.ACKED)) == set(loids)
+    assert tracker.version == v2
     for loid in loids:
         assert manager.instance_version(loid) == v2
 

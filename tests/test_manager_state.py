@@ -4,13 +4,15 @@ Every durable manager change is a journal entry applied by
 :func:`repro.core.manager_state.apply`.  The property test drives a
 journaled manager through random operation sequences and checks, after
 every step, that the live state equals the state rebuilt from the
-journal and the state rebuilt from a checkpoint of it.
+journal and the state rebuilt from a checkpoint of it, and that the
+``manager.`` events published are the journal's appends, in order.
 ``CHAOS_EXTRA_SEEDS`` (env) widens its example budget, as it widens
 the chaos sweeps.
 
-The regression tests pin two recovery defects the shared reducer
-exposed: a re-armed wave the journal never recorded, and a recovered
-instance no path re-delivered the wave it missed.
+The recovery tests pin two defects the shared reducer exposed — a
+re-armed wave the journal never recorded, and a recovered instance no
+path re-delivered the wave it missed — and check that a manager
+rebuilt from a journal publishes none of the entries it replays.
 """
 
 import os
@@ -25,6 +27,7 @@ from repro.core import (
     DeliveryStatus,
     ManagerJournal,
     ManagerState,
+    ReplicationLink,
     WaveAborted,
     recover_manager,
 )
@@ -53,6 +56,23 @@ def replayed(entries):
     return state
 
 
+def record_commits(runtime, journal):
+    """Two logs of the commits from now on: the ``manager.`` events
+    published and the entries ``journal`` appended, each as
+    ``(topic, details)`` pairs in order."""
+    published, appended = [], []
+
+    def on_write(write, entry):
+        if write == "append":
+            appended.append(("manager." + entry.kind, entry.data))
+
+    runtime.network.bus.subscribe(
+        "manager.", lambda event: published.append((event.topic, event.details))
+    )
+    journal.subscribe(on_write)
+    return published, appended
+
+
 class Fleet:
     """Runs named operations against a journaled sorter manager."""
 
@@ -61,6 +81,7 @@ class Fleet:
         self.runtime = LegionRuntime(build_lan(4, seed=7))
         self.sim = self.runtime.sim
         self.journal = ManagerJournal(name="Sorter")
+        self.published, self.appended = record_commits(self.runtime, self.journal)
         self.manager = make_sorter_manager(
             self.runtime,
             journal=self.journal,
@@ -226,6 +247,7 @@ def test_live_state_equals_journal_and_checkpoint_replay(steps):
         live = fleet.manager.state
         assert replayed(fleet.journal.replay()) == live, "journal replay"
         assert replayed(checkpoint_rows(live)) == live, "checkpoint replay"
+        assert fleet.published == fleet.appended, "published commits"
 
     fleet = Fleet(check)
     fleet.op_create(0)
@@ -248,7 +270,7 @@ def test_checkpoint_is_a_snapshot():
 
 
 # ----------------------------------------------------------------------
-# Recovery regressions
+# Recovery
 # ----------------------------------------------------------------------
 
 
@@ -324,3 +346,28 @@ def test_recovered_instance_gets_the_wave_it_missed():
     assert manager.instance_version(loids[1]) == v2
     assert tracker.complete and tracker.all_acked, tracker
     assert replayed(journal.replay()) == manager.state
+
+
+@pytest.mark.parametrize("source", ["primary", "standby"])
+def test_rebuilding_from_a_journal_publishes_only_new_commits(source):
+    """Replay is not a commit.  A manager rebuilt from a checkpointed
+    journal — by crash recovery, or by promoting a standby that was
+    shipped the journal — publishes its own term bump and none of the
+    entries it replayed."""
+    runtime, manager, journal, __, v2 = build_fleet()
+    link = ReplicationLink(runtime, manager, "host03", mode="sync")
+    runtime.sim.run_process(manager.propagate_version(v2))
+    manager.write_checkpoint()
+    manager.derive_version(v2)  # a tail entry after the checkpoint
+    runtime.sim.run()
+    crash_host(runtime, manager.host)
+    link.stop()
+    if source == "standby":
+        journal = link.replica.journal
+    replayed_entries = len(journal)
+    published, appended = record_commits(runtime, journal)
+    recovered = runtime.sim.run_process(
+        recover_manager(runtime, journal, host_name="host03", resume=False)
+    )
+    assert replayed_entries > 1
+    assert published == appended == [("manager.term", {"number": recovered.term})]

@@ -31,7 +31,6 @@ from repro.core.manager_state import apply
 from repro.legion import LegionRuntime
 from repro.legion.errors import ObjectUnreachable
 from repro.net import CircuitOpen, PrefixPartition, RetryPolicy
-from repro.obs import Tracer
 
 from tests.conftest import create_dcdo, make_sorter_manager
 
@@ -110,7 +109,8 @@ def assert_fully_on_v1(obj, v1, v2):
 
 def test_prepare_failure_rolls_back_to_old_version():
     runtime, manager, __, loids = build_sorter_fleet(instances=1)
-    runtime.tracer = Tracer(runtime.sim)
+    rollbacks = []
+    runtime.network.bus.subscribe("dcdo.rolled-back", rollbacks.append)
     loid = loids[0]
     obj = manager.record(loid).obj
     v1 = manager.current_version
@@ -128,13 +128,8 @@ def test_prepare_failure_rolls_back_to_old_version():
     assert runtime.network.count_value("dcdo.prepares") == 1
     assert runtime.network.count_value("dcdo.rollbacks") == 1
     assert runtime.network.count_value("dcdo.commits") == 0
-    # A rollback is visible in the trace, stamped with its cause.
-    events = [
-        event
-        for event in runtime.tracer.events
-        if event.category == "evolution-rolled-back"
-    ]
-    assert events and events[0].detail("cause") == "ObjectUnreachable"
+    # A rollback is published, stamped with its cause.
+    assert rollbacks and rollbacks[0].details["cause"] == "ObjectUnreachable"
 
     # After the partition heals, the same diff applies cleanly.
     def heal_then_apply():
