@@ -817,36 +817,37 @@ class DCDOManager(ClassObject):
             def ship(diff):
                 # Generous per-attempt timeouts (downloads can take tens
                 # of seconds) with retries; applyConfiguration is
-                # idempotent.
-                return self.invoker.invoke(
-                    loid,
-                    "applyConfiguration",
-                    (diff,),
-                    timeout_schedule=(60.0, 120.0, 600.0),
-                )
-
-            # Registered so a host crash can abandon the RPC at once
-            # (see instance_lost) instead of after its timeout ladder.
-            self._shipping[loid] = self._runtime.sim.active_process
-            try:
+                # idempotent.  A host crash interrupts the wait (see
+                # instance_lost) instead of letting it run the ladder.
                 try:
-                    yield from ship(
-                        self._diff_between(from_version, target_version, enforce_policy)
-                    )
-                except DiffBaseMismatch as refusal:
-                    # The instance is not at the version the table holds
-                    # (e.g. rebuilt and not yet configured): re-diff from
-                    # where it really is.
-                    self._count("evolution.rediffs")
-                    yield from ship(
-                        self._diff_between(
-                            refusal.actual_version, target_version, enforce_policy
+                    return (
+                        yield from self.invoker.invoke(
+                            loid,
+                            "applyConfiguration",
+                            (diff,),
+                            timeout_schedule=(60.0, 120.0, 600.0),
                         )
                     )
-            except Interrupt:
-                raise ObjectDeactivated(
-                    f"instance {loid} was lost with its host mid-delivery"
-                ) from None
+                except Interrupt:
+                    raise ObjectDeactivated(
+                        f"instance {loid} was lost with its host mid-delivery"
+                    ) from None
+
+            self._shipping[loid] = self._runtime.sim.active_process
+            try:
+                yield from ship(
+                    self._diff_between(from_version, target_version, enforce_policy)
+                )
+            except DiffBaseMismatch as refusal:
+                # The instance is not at the version the table holds
+                # (e.g. rebuilt and not yet configured): re-diff from
+                # where it really is.
+                self._count("evolution.rediffs")
+                yield from ship(
+                    self._diff_between(
+                        refusal.actual_version, target_version, enforce_policy
+                    )
+                )
             finally:
                 self._shipping.pop(loid, None)
             self._commit("instance-version", loid=loid, version=target_version)
