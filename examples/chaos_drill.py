@@ -124,19 +124,19 @@ def drill_chaos_schedule():
         heal = schedule.heal_time + 1.0
         if runtime.sim.now < heal:
             yield runtime.sim.timeout(heal - runtime.sim.now)
-        tracker = yield from drive_to_convergence(
+        converged = yield from drive_to_convergence(
             runtime, "Service", journal=journal, retry_policy=RETRY
         )
-        return tracker
+        return converged
 
-    tracker = runtime.sim.run_process(scenario())
+    converged = runtime.sim.run_process(scenario())
     runtime.sim.run()
-    print(f"converged: {tracker.summary()}")
+    manager_now = runtime.class_of("Service")
+    print(f"converged: {converged} {manager_now.propagation(v2).summary()}")
     for at, name, died in coordinator.crash_log:
         print(f"  crash  t={at:.1f}s {name} took down {len(died)} instance(s)")
     for at, kind, what in coordinator.recovery_log:
         print(f"  recover t={at:.1f}s {kind}: {what}")
-    manager_now = runtime.class_of("Service")
     versions = {str(loid): str(manager_now.instance_version(loid)) for loid in loids}
     print(f"fleet versions: {versions}")
     return runtime

@@ -95,7 +95,6 @@ def main():
         "Service",
         policies=[MigrateOffFlakyHost(), DemoteDegradedVersion()],
         interval_s=1.0,
-        retry_policy=RETRY,
     ).start()
 
     base = sim.now

@@ -147,7 +147,6 @@ def _run_incident(seed, mode, fleet):
         "P9Svc",
         policies=[MigrateOffFlakyHost(), DemoteDegradedVersion()],
         interval_s=interval,
-        retry_policy=FAST_RETRY,
         name=f"{mode}:P9Svc",
     ).start()
 

@@ -12,10 +12,10 @@ and are documented against the sentence of the paper they reproduce.
 
 from repro.cluster.calibration import Calibration
 from repro.cluster.controller import ControllerContext, ReactiveController
-from repro.cluster.coordination import ConvergenceGuard, convergence_guard
 from repro.cluster.failure_detector import HeartbeatFailureDetector
 from repro.cluster.filecache import FileCache
 from repro.cluster.host import CrashPlan, Host, HostDown, HostProcess
+from repro.cluster.reconciler import Reconciler
 from repro.cluster.relay import (
     HostRelay,
     build_relay_tree,
@@ -29,7 +29,6 @@ from repro.cluster.vault import Vault
 __all__ = [
     "Calibration",
     "ControllerContext",
-    "ConvergenceGuard",
     "CrashPlan",
     "FileCache",
     "HeartbeatFailureDetector",
@@ -38,6 +37,7 @@ __all__ = [
     "HostProcess",
     "HostRelay",
     "ReactiveController",
+    "Reconciler",
     "Supervisor",
     "Testbed",
     "Vault",
@@ -45,7 +45,6 @@ __all__ = [
     "build_lan",
     "build_relay_tree",
     "build_wan",
-    "convergence_guard",
     "deploy_relays",
     "restore_relays",
 ]

@@ -8,13 +8,15 @@ Building blocks for fault-tolerance tests and drills:
   the objects (including any class object / DCDO Manager homed there).
 - :class:`ChaosCoordinator` — wires a :class:`CrashPlan`'s hooks to
   that reconciliation, and on restart recovers dead managers from
-  their journals and rebuilds crash-lost instances.
+  their journals, then wakes the
+  :class:`~repro.cluster.reconciler.Reconciler` it armed for each, which
+  rebuilds crash-lost relays, ICOs and instances and converges them.
 - :class:`ChaosSchedule` — a seeded, deterministic fault scenario
   (host outages, prefix partitions, drop rules) generated from one
   integer seed, so every chaos test run is reproducible.
-- :func:`drive_to_convergence` — the heal phase: repair what is
-  repairable and re-propagate until every surviving DCDO reaches the
-  manager's current version.
+- :func:`drive_to_convergence` — the heal phase: recover a dead
+  manager, then wait on its reconciler until every surviving DCDO
+  reaches the manager's current version.
 
 Layering note: this module orchestrates *across* layers (cluster +
 core), so core imports stay inside functions to keep the cluster
@@ -26,6 +28,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 
 from repro.cluster.host import CrashPlan
+from repro.cluster.reconciler import Reconciler, armed_reconciler
 from repro.net import (
     DropRule,
     DuplicateRule,
@@ -78,34 +81,32 @@ def crash_host(runtime, host):
 class ChaosCoordinator:
     """Runs crash/restart reconciliation for a fleet under test.
 
-    Parameters
-    ----------
-    runtime:
-        The Legion runtime under chaos.
-    journals:
-        ``type_name -> ManagerJournal`` for every manager that should
-        be recoverable; a manager without a journal stays dead until
-        its own host returns and someone rebuilds it by hand.
-    auto_recover:
-        When True (default), a host restart triggers recovery of dead
-        journaled managers (homed on the restarting host) and of the
-        crash-lost instances the live managers know about.
+    ``journals`` maps ``type_name -> ManagerJournal`` for every manager
+    that should be recoverable.  The coordinator arms a
+    :class:`~repro.cluster.reconciler.Reconciler` for each; on a host
+    restart it recovers the dead ones from their journals and wakes
+    every reconciler.  A manager without a journal stays dead until its
+    own host returns and someone rebuilds it by hand.  ``recovery_log``
+    records manager recoveries and instance rebuilds, whoever drove
+    them.
     """
 
-    def __init__(self, runtime, journals=None, auto_recover=True, relays=None):
+    def __init__(self, runtime, journals=None):
         self.runtime = runtime
         self.journals = dict(journals or {})
-        self.auto_recover = auto_recover
-        #: Host name -> relay LOID directory (see
-        #: :func:`repro.cluster.relay.deploy_relays`); restart
-        #: reconciliation re-activates dead relays on hosts that booted.
-        self.relays = dict(relays or {})
         self.crash_plan = CrashPlan(
             runtime.sim, on_crash=self._on_crash, on_restart=self._on_restart
         )
         self.crash_log = []
         self.recovery_log = []
         self._recovering = set()
+        self.reconcilers = [
+            Reconciler(runtime, lambda name=name: runtime.class_of(name)).start()
+            for name in self.journals
+        ]
+        runtime.network.bus.subscribe(
+            "class.instance-recovered", self._on_instance_recovered
+        )
 
     def _on_crash(self, host):
         died = crash_host(self.runtime, host)
@@ -114,89 +115,32 @@ class ChaosCoordinator:
             "host.crashed", host.name, died=len(died)
         )
 
+    def _on_instance_recovered(self, event):
+        self.recovery_log.append((event.at, "instance", event.subject))
+
     def _on_restart(self, host):
-        self.runtime.network.publish("host.restarted", host.name)
-        if self.auto_recover:
-            yield from self.recover_on(host)
-
-    def recover_on(self, host):
-        """Generator: bring back what can come back after ``host`` boots.
-
-        Dead journaled managers are recovered first (homed on the
-        restarting host), then every live manager's crash-lost
-        instances on now-up hosts are rebuilt.
-        """
+        """Process body: recover dead journaled managers on the booted
+        ``host``, then wake the reconcilers to repair the fleet."""
         from repro.core.recovery import recover_manager
 
+        self.runtime.network.publish("host.restarted", host.name)
         for type_name, journal in self.journals.items():
             if type_name in self._recovering:
                 continue
-            try:
-                manager = self.runtime.class_of(type_name)
-            except Exception:
-                manager = None
-            if manager is not None and manager.is_active:
+            if self.runtime.class_of(type_name).is_active:
                 continue
             self._recovering.add(type_name)
             try:
-                manager = yield from recover_manager(
-                    self.runtime, journal, host_name=host.name
+                yield from recover_manager(
+                    self.runtime, journal, host_name=host.name, resume=False
                 )
                 self.recovery_log.append(
                     (self.runtime.sim.now, "manager", type_name)
                 )
             finally:
                 self._recovering.discard(type_name)
-        yield from self.restore_relays()
-        yield from self.restore_components()
-        yield from self.recover_instances()
-
-    def restore_relays(self):
-        """Generator: re-activate dead evolution relays on up hosts."""
-        from repro.cluster.relay import restore_relays
-
-        if self.relays:
-            restored = yield from restore_relays(self.runtime, self.relays)
-            for host_name in restored:
-                self.recovery_log.append(
-                    (self.runtime.sim.now, "relay", host_name)
-                )
-
-    def restore_components(self):
-        """Generator: re-serve dead ICOs of every live manager.
-
-        A crashed component host leaves its ICOs dead even after the
-        host reboots (restart wipes memory); instances that never
-        cached the blob then cannot evolve.  Managers that survived
-        re-create those servers here.
-        """
-        for class_object in fleet_managers(self.runtime):
-            if class_object.is_active and hasattr(
-                class_object, "restore_components"
-            ):
-                yield from class_object.restore_components()
-
-    def recover_instances(self):
-        """Generator: rebuild crash-lost instances on hosts that are up."""
-        from repro.legion.errors import LegionError
-        from repro.net import TransportError
-
-        for class_object in fleet_managers(self.runtime):
-            if not class_object.is_active:
-                continue
-            for loid in class_object.instance_loids():
-                record = class_object.record(loid)
-                if record.active or not record.host.is_up:
-                    continue
-                try:
-                    yield from class_object.recover_instance(loid)
-                    self.recovery_log.append(
-                        (self.runtime.sim.now, "instance", loid)
-                    )
-                except (ValueError, LegionError, TransportError):
-                    # Already recovered concurrently, or still
-                    # unreachable: a later pass will retry.
-                    continue
+        for reconciler in self.reconcilers:
+            reconciler.wake()
 
 
 # ----------------------------------------------------------------------
@@ -819,58 +763,44 @@ class ChaosSchedule:
         return f"<ChaosSchedule {counts or 'no faults'}>"
 
 
-def drive_to_convergence(
-    runtime, type_name, journal=None, retry_policy=None, max_rounds=8, relays=None
-):
-    """Generator: repair and re-propagate until the fleet converges.
+#: Acting reconcile rounds :func:`drive_to_convergence` waits through.
+DRIVE_ROUNDS = 8
 
-    Meant for *after* faults heal.  Each round: recover the manager
-    from its journal if it is dead, rebuild crash-lost instances on
-    up hosts, then run the ack-tracked propagation of the current
-    version.  The propagation is driven under explicit converge
-    semantics — a wave that previously aborted keeps its abortive
-    policy on its tracker, and convergence is this function's whole
-    contract, so the per-call override re-drives it to completion
-    instead of re-tripping the abort.  ``relays`` is an optional host
-    -> relay-LOID directory: dead relays are re-activated each round
-    before propagating, so batched waves keep working through host
-    restarts.  Returns the final :class:`PropagationTracker` (check
-    ``all_acked``).
+
+def drive_to_convergence(runtime, type_name, journal=None, retry_policy=None):
+    """Generator: bring the authority back, then wait on its reconciler.
+
+    Meant for *after* faults heal.  A dead manager is recovered from
+    ``journal`` first.  Then the reconciler serving the type — armed
+    for this call, spacing its waves by ``retry_policy``, when nobody
+    has — is woken round after round until the fleet converges or
+    :data:`DRIVE_ROUNDS` rounds have acted (rounds that found a wave
+    in flight and left the fleet to it do not count).  Returns True
+    once every instance outside an open canary is live at the
+    manager's current version.
     """
-    from repro.core.manager import WavePolicy
     from repro.core.recovery import recover_manager
 
-    tracker = None
-    for __ in range(max_rounds):
-        manager = runtime.class_of(type_name)
+    manager = runtime.class_of(type_name)
+    reconciler = armed_reconciler(runtime, manager.replication_scope)
+    own = reconciler is None
+    if own:
+        reconciler = Reconciler(
+            runtime, lambda: runtime.class_of(type_name), retry_policy
+        ).start()
+    try:
         if not manager.is_active:
             if journal is None:
                 raise RuntimeError(
                     f"manager for {type_name!r} is dead and no journal was given"
                 )
-            manager = yield from recover_manager(runtime, journal)
-            if relays:
-                # A recovered manager starts without relay routing;
-                # re-enable it so waves stay host-batched.
-                manager.use_relays(relays)
-        coordinator = ChaosCoordinator(runtime, auto_recover=False, relays=relays)
-        yield from coordinator.restore_relays()
-        yield from coordinator.restore_components()
-        yield from coordinator.recover_instances()
-        # Leave canary-frozen instances alone: their rollout's gate
-        # runner owns them until it completes or aborts.
-        frozen = manager.canary_frozen_loids()
-        loids = None
-        if frozen:
-            loids = [
-                loid for loid in manager.instance_loids() if loid not in frozen
-            ]
-        tracker = yield from manager.propagate_version(
-            manager.current_version,
-            loids=loids,
-            retry_policy=retry_policy,
-            wave_policy=WavePolicy.converge(),
-        )
-        if tracker.all_acked:
-            return tracker
-    return tracker
+            yield from recover_manager(runtime, journal, resume=False)
+        rounds = 0
+        while True:
+            reconciler.wake()
+            rounds += yield reconciler.finished.wait()
+            if rounds >= DRIVE_ROUNDS or reconciler.converged():
+                return reconciler.converged()
+    finally:
+        if own:
+            reconciler.stop()

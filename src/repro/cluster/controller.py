@@ -16,28 +16,29 @@ Safety is layered, in order of evaluation each tick:
 1. **Liveness/identity** — the controller re-resolves the live manager
    every tick; on identity change (a promotion happened) it first
    garbage-collects intents the old term left open.
-2. **Deference** — while the supervisor is promoting or converging the
-   controller stands down entirely; finer-grained overlap is handled
-   by the shared :class:`~repro.cluster.coordination.ConvergenceGuard`
-   (all-or-nothing LOID claims; deny → defer, never run alongside).
-3. **Lease** — a plane-level remediation lease, journaled on the
+2. **Lease** — a plane-level remediation lease, journaled on the
    manager and fenced by its term.  A zombie controller still holding
    a lease minted under the deposed primary's term finds
    ``holds_remediation_lease`` false against the promotee and goes
    quiet; the promoted supervisor can never fight a ghost.
-4. **Rate limits** — a token budget per sliding window plus a
+3. **Rate limits** — a token budget per sliding window plus a
    per-(policy, target) cooldown keep a flapping signal from turning
    into remediation churn (the oscillation amplifier every reactive
    controller must not become).
-5. **Intent journaling** — every admitted action is write-ahead logged
+4. **Intent journaling** — every admitted action is write-ahead logged
    (``begin_remediation``) before its first RPC and closed after, so a
    recovered manager knows exactly which automated actions were in
    flight and ``gc_remediations`` can orphan the unfinishable ones.
+
+The controller changes desired state (designation, placement) and
+never waits for convergence: driving the fleet to the designation is
+the supervisor's :class:`~repro.cluster.reconciler.Reconciler`'s job,
+and a demotion raised mid-convergence simply moves the target that
+reconciler converges to.
 """
 
 from collections import deque
 
-from repro.cluster.coordination import convergence_guard
 from repro.core.policies.remediation import default_remediation_policies
 
 #: EWMA smoothing for per-shard wave durations (RebalanceHotShard's
@@ -61,9 +62,7 @@ class ReactiveController:
         enables shard policies and makes the lease live on the lowest
         live shard's manager.
     supervisor:
-        Optional supervisor to defer to explicitly (its promote /
-        converge flags); without it, deference still happens through
-        the convergence guard.
+        Optional supervisor whose promoted manager is the live one.
     policies:
         Remediation policies, default the full registry
         (:func:`default_remediation_policies`).
@@ -74,8 +73,6 @@ class ReactiveController:
         a remediator that stopped renewing.
     budget / budget_window_s:
         At most ``budget`` remediation actions per sliding window.
-    retry_policy:
-        Passed to rollback waves a policy originates.
     """
 
     def __init__(
@@ -89,7 +86,6 @@ class ReactiveController:
         lease_ttl_s=30.0,
         budget=4,
         budget_window_s=60.0,
-        retry_policy=None,
         name=None,
     ):
         self.runtime = runtime
@@ -103,7 +99,6 @@ class ReactiveController:
         self.lease_ttl_s = lease_ttl_s
         self.budget = budget
         self.budget_window_s = budget_window_s
-        self.retry_policy = retry_policy
         self.name = name or f"controller:{type_name}"
 
         #: Remediation timeline: one dict per executed intent
@@ -225,15 +220,6 @@ class ReactiveController:
         except Exception:
             return None
 
-    def _supervisor_busy(self):
-        sup = self.supervisor
-        if sup is not None and (
-            getattr(sup, "_promote_in_progress", False)
-            or getattr(sup, "_converging", False)
-        ):
-            return True
-        return convergence_guard(self.runtime).busy("supervisor:")
-
     def _tick(self):
         network = self.runtime.network
         manager = self._resolve_manager()
@@ -249,9 +235,6 @@ class ReactiveController:
                 if orphaned:
                     network.count("controller.gc_orphaned", len(orphaned))
             self._last_manager = manager
-        if self._supervisor_busy():
-            network.count("controller.deferred")
-            return
         if not manager.acquire_remediation_lease(self.name, ttl_s=self.lease_ttl_s):
             network.count("controller.lease_denied")
             return
@@ -263,7 +246,6 @@ class ReactiveController:
             plane=self.plane,
             controller=self,
             events=events,
-            retry_policy=self.retry_policy,
         )
         for policy in self.policies:
             try:
@@ -308,14 +290,6 @@ class ReactiveController:
 
     def _execute(self, ctx, policy, intent):
         network = self.runtime.network
-        guard = convergence_guard(self.runtime)
-        claimed = list(intent.loids)
-        if claimed and not guard.try_claim(self.name, claimed):
-            # Somebody (the supervisor, another action) is already
-            # driving configuration onto part of this set: defer, the
-            # signal will still be there next tick if it matters.
-            network.count("controller.deferred")
-            return
         now = self.runtime.sim.now
         self._cooldowns[intent.cooldown_key] = now
         self._recent_actions.append(now)
@@ -331,8 +305,6 @@ class ReactiveController:
         except Exception as exc:
             outcome, result = "failed", {"error": f"{type(exc).__name__}: {exc}"}
         finally:
-            if claimed:
-                guard.release(self.name, claimed)
             if not manager.deposed:
                 manager.complete_remediation(intent_id, outcome=outcome)
             network.count(f"controller.actions.{outcome}")
@@ -369,7 +341,6 @@ class ReactiveController:
             "policies": [policy.name for policy in self.policies],
             "actions": len(self.remediation_log),
             "log_tail": self.remediation_log[-5:],
-            "deferred": counters.count_value("controller.deferred"),
             "rate_limited": counters.count_value("controller.rate_limited"),
             "shard_wave_stats": {
                 shard: dict(entry) for shard, entry in self.shard_wave_stats.items()
@@ -386,13 +357,12 @@ class ReactiveController:
 class ControllerContext:
     """What a policy sees each tick: sensed events plus live handles."""
 
-    def __init__(self, runtime, manager, plane, controller, events, retry_policy):
+    def __init__(self, runtime, manager, plane, controller, events):
         self.runtime = runtime
         self.manager = manager
         self.plane = plane
         self.controller = controller
         self.events = events
-        self.retry_policy = retry_policy
 
     def events_on(self, topic):
         """This tick's events matching an exact topic."""

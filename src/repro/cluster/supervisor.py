@@ -10,12 +10,15 @@ in the loop.  The :class:`Supervisor` closes that loop in-simulation:
    standby journal on another host, continuously replayed;
 3. on suspicion the supervisor *promotes* the standby —
    :func:`~repro.core.recovery.recover_manager` with
-   ``skip_entries=len(journal)`` (replay already paid), a bumped
+   ``skip_entries=len(journal)`` (replay already paid) and a bumped
    fencing term so the old primary's in-flight traffic is rejected
-   everywhere, relays re-enabled — then re-arms replication to the
-   next standby and drives the fleet back to convergence (resume
-   interrupted propagations, rebuild lost instances/ICOs/relays,
-   re-propagate until all acked).
+   everywhere — then re-arms replication to the next standby and
+   wakes its :class:`~repro.cluster.reconciler.Reconciler`.  The
+   reconciler, armed at :meth:`Supervisor.start` and following
+   whichever manager the supervisor last promoted, is what drives the
+   fleet back to convergence: it re-applies the relay route, rebuilds
+   lost relays, ICOs and instances, resumes interrupted propagations
+   and converges the rest.
 
 Promotion is safe against the failure modes that make naive failover
 wrong:
@@ -33,9 +36,6 @@ wrong:
 Layering note: like :mod:`repro.cluster.chaos` this module
 orchestrates across layers, so runtime imports stay inside functions.
 """
-
-#: Convergence retry backoff: round ``i`` waits ``min(2**i, cap)``.
-CONVERGENCE_BACKOFF_CAP_S = 60.0
 
 
 class Supervisor:
@@ -55,10 +55,17 @@ class Supervisor:
     detector_host_name:
         Where the failure detector runs — pick a host that is neither
         the primary nor a standby, so detection survives their loss.
-    relays / relay_fanout_k / relay_batch_window:
-        Optional relay routing (see
-        :meth:`~repro.core.manager.DCDOManager.use_relays`), restored
-        and re-enabled on every promotion.
+    manager / on_promote:
+        A sharded plane supervises one manager *per shard* under a
+        shared type name: the shard's manager is passed explicitly
+        (``class_of`` only knows shard 0), and ``on_promote(manager)``
+        lets the plane remap routing to the promotee.
+    retry_policy:
+        Spaces the reconciler's waves (default: the manager's).
+
+    The relay route the manager has at :meth:`start` (see
+    :meth:`~repro.core.manager.DCDOManager.use_relays`) is given to
+    every promotee.
     """
 
     def __init__(
@@ -67,9 +74,6 @@ class Supervisor:
         type_name,
         standby_hosts,
         detector_host_name,
-        relays=None,
-        relay_fanout_k=0,
-        relay_batch_window=None,
         heartbeat_interval_s=0.5,
         heartbeat_timeout_s=0.4,
         suspicion_threshold=3,
@@ -78,12 +82,8 @@ class Supervisor:
         replication_mode="sync",
         ship_interval_s=0.25,
         retry_policy=None,
-        max_convergence_rounds=10,
-        reconcile_interval_s=15.0,
         manager=None,
         on_promote=None,
-        relay_announce=False,
-        relay_roster_id=None,
     ):
         if not standby_hosts:
             raise ValueError("supervisor needs at least one standby host")
@@ -91,18 +91,8 @@ class Supervisor:
         self.type_name = type_name
         self.standby_hosts = tuple(standby_hosts)
         self.detector_host_name = detector_host_name
-        self.relays = dict(relays or {})
-        self.relay_fanout_k = relay_fanout_k
-        self.relay_batch_window = relay_batch_window
-        # Sharded planes supervise one manager *per shard* under a
-        # shared type name: the shard's manager is passed explicitly
-        # (``class_of`` only knows shard 0), its announce roster slice
-        # rides along, and ``on_promote(manager)`` lets the plane remap
-        # routing to the promotee.
         self._explicit_manager = manager
         self.on_promote = on_promote
-        self.relay_announce = relay_announce
-        self.relay_roster_id = relay_roster_id
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.suspicion_threshold = suspicion_threshold
@@ -114,16 +104,14 @@ class Supervisor:
         self.replication_mode = replication_mode
         self.ship_interval_s = ship_interval_s
         self.retry_policy = retry_policy
-        self.max_convergence_rounds = max_convergence_rounds
-        self.reconcile_interval_s = reconcile_interval_s
         self.detector = None
         self.link = None
+        self.reconciler = None
         self.promotions = 0
         self.takeover_log = []  # (time, old_primary_host, new_primary_host)
         self._manager = None
         self._loid = None
         self._promote_in_progress = False
-        self._converging = False
         # A suspicion only triggers promotion while armed.  Promotion
         # disarms; seeing the (new) primary actually answer a probe
         # re-arms.  Without this, a detector partitioned from the
@@ -138,8 +126,10 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     def start(self):
-        """Arm replication and the failure detector; returns self."""
+        """Arm replication, the failure detector and the reconciler;
+        returns self."""
         from repro.cluster.failure_detector import HeartbeatFailureDetector
+        from repro.cluster.reconciler import Reconciler
 
         manager = self._explicit_manager or self.runtime.class_of(self.type_name)
         if manager.journal is None:
@@ -168,18 +158,20 @@ class Supervisor:
         self.runtime.sim.spawn(
             self._link_health_loop(), name=f"supervisor-link:{self.type_name}"
         )
-        self.runtime.sim.spawn(
-            self._reconcile_loop(), name=f"supervisor-reconcile:{self.type_name}"
-        )
+        self.reconciler = Reconciler(
+            self.runtime, lambda: self._manager, self.retry_policy
+        ).start()
         return self
 
     def stop(self):
-        """Disarm the detector and the replication link."""
+        """Disarm the detector, the replication link and the reconciler."""
         self._stopped = True
         if self.detector is not None:
             self.detector.stop()
         if self.link is not None:
             self.link.stop()
+        if self.reconciler is not None:
+            self.reconciler.stop()
 
     @property
     def manager(self):
@@ -241,58 +233,6 @@ class Supervisor:
                 self._arm_replication(self._manager)
 
     # ------------------------------------------------------------------
-    # Background reconciliation (anti-entropy)
-    # ------------------------------------------------------------------
-
-    def _reconcile_loop(self):
-        """Daemon: re-drive repair whenever the fleet drifts.
-
-        The post-promotion convergence pass is one-shot, and each of
-        its repair steps can fail *transiently* under gray faults — an
-        instance whose rebuild needed an ICO behind a one-way partition
-        stays dead even though its host is up, and nothing ever retries
-        once the pass has run out of rounds or returned early.  This
-        loop closes that gap: while the supervised manager is the live
-        authority, any inactive instance on an up host (or any instance
-        off the current version) triggers a fresh repair-and-converge
-        pass.  A healthy, converged fleet makes this a pure no-op.
-        """
-        sim = self.runtime.sim
-        while not self._stopped:
-            yield sim.timeout(self.reconcile_interval_s, daemon=True)
-            if self._stopped or self._promote_in_progress or self._converging:
-                continue
-            manager = self._manager
-            if manager is None or not manager.is_active or manager.deposed:
-                continue
-            if not self._needs_repair(manager):
-                continue
-            self.runtime.network.count("supervisor.reconciles")
-            yield from self._converge(manager)
-
-    def _needs_repair(self, manager):
-        """True if any non-frozen instance is dead-but-rebuildable or
-        off the manager's current version."""
-        from repro.legion.errors import LegionError
-
-        try:
-            frozen = manager.canary_frozen_loids()
-            current = manager.current_version
-            for loid in manager.instance_loids():
-                if loid in frozen:
-                    continue
-                record = manager.record(loid)
-                if not record.active:
-                    if record.host.is_up:
-                        return True
-                    continue
-                if current is not None and manager.instance_version(loid) != current:
-                    return True
-        except LegionError:
-            return False
-        return False
-
-    # ------------------------------------------------------------------
     # Failover
     # ------------------------------------------------------------------
 
@@ -317,7 +257,7 @@ class Supervisor:
         )
 
     def _failover(self):
-        """Generator: promote the standby, then drive convergence."""
+        """Generator: promote the standby, then wake the reconciler."""
         from repro.core.errors import ManagerRecoveryError
         from repro.core.recovery import recover_manager
 
@@ -373,19 +313,6 @@ class Supervisor:
             runtime.network.count("supervisor.failed_promotions")
             self._promote_in_progress = False
             return
-        if self.relays:
-            from repro.cluster.relay import restore_relays
-
-            yield from restore_relays(
-                runtime, self.relays, roster_id=self.relay_roster_id
-            )
-            manager.use_relays(
-                self.relays,
-                fanout_k=self.relay_fanout_k,
-                batch_window=self.relay_batch_window,
-                announce=self.relay_announce,
-                roster_id=self.relay_roster_id,
-            )
         self._manager = manager
         if self.on_promote is not None:
             self.on_promote(manager)
@@ -405,99 +332,10 @@ class Supervisor:
             term=manager.term,
         )
         self._arm_replication(manager)
-        # Promotion done: clear the guard *before* convergence so a
-        # second failure mid-convergence can trigger a fresh failover.
+        # Promotion done: a second failure mid-convergence can trigger
+        # a fresh failover.
         self._promote_in_progress = False
-        yield from self._converge(manager)
-
-    def _converge(self, manager):
-        """Generator: repair and re-propagate until the fleet converges.
-
-        The supervised counterpart of
-        :func:`~repro.cluster.chaos.drive_to_convergence` — same
-        round structure, but it never recovers the manager itself
-        (that is the failover path's job) and it stands down as soon
-        as its manager stops being the authority (deposed or replaced
-        by a newer promotion).
-        """
-        self._converging = True
-        try:
-            yield from self._converge_rounds(manager)
-        finally:
-            self._converging = False
-
-    def _converge_rounds(self, manager):
-        from repro.cluster.chaos import ChaosCoordinator
-        from repro.cluster.coordination import convergence_guard
-        from repro.core.manager import WavePolicy
-        from repro.legion.errors import LegionError
-        from repro.net import TransportError
-
-        sim = self.runtime.sim
-        guard = convergence_guard(self.runtime)
-        guard_owner = f"supervisor:{self.type_name}"
-        yield from manager.resume_propagations(self.retry_policy)
-        for round_no in range(self.max_convergence_rounds):
-            if self._stopped or manager.deposed or not manager.is_active:
-                return
-            if manager is not self._manager:
-                return  # a newer promotion owns convergence now
-            coordinator = ChaosCoordinator(
-                self.runtime, auto_recover=False, relays=self.relays
-            )
-            # Each repair step is guarded on its own: an ICO still cut
-            # off behind a partition must not stop this round's
-            # re-propagation to the instances that *are* reachable.
-            for step in (
-                coordinator.restore_relays,
-                coordinator.restore_components,
-                coordinator.recover_instances,
-            ):
-                try:
-                    yield from step()
-                except (LegionError, TransportError):
-                    pass
-            # Instances admitted to a still-open canary are frozen:
-            # converging them back onto the fleet's current version
-            # would silently undo the rollout the SLO gate is
-            # judging (the gate runner itself finishes or aborts
-            # the canary using the journaled state).
-            frozen = manager.canary_frozen_loids()
-            loids = [
-                loid
-                for loid in manager.instance_loids()
-                if loid not in frozen
-            ]
-            # The shared guard keeps this converge from racing a
-            # remediation wave over the same instances: an overlap
-            # denies the whole claim, and the round backs off instead
-            # of double-converging.
-            if not guard.try_claim(guard_owner, loids):
-                self.runtime.network.count("supervisor.converge_deferred")
-                yield sim.timeout(
-                    min(2.0 ** (round_no + 1), CONVERGENCE_BACKOFF_CAP_S)
-                )
-                continue
-            try:
-                tracker = yield from manager.propagate_version(
-                    manager.current_version,
-                    loids=loids,
-                    retry_policy=self.retry_policy,
-                    wave_policy=WavePolicy.converge(),
-                )
-                if tracker.all_acked:
-                    self.runtime.network.count("supervisor.convergences")
-                    return
-            except (LegionError, TransportError):
-                # Fleet still unhealthy (or we just got fenced); the
-                # guards at the top of the loop sort out which.
-                pass
-            finally:
-                guard.release(guard_owner, loids)
-            yield sim.timeout(
-                min(2.0 ** (round_no + 1), CONVERGENCE_BACKOFF_CAP_S)
-            )
-        self.runtime.network.count("supervisor.convergence_giveups")
+        self.reconciler.wake()
 
     def __repr__(self):
         return (

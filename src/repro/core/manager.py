@@ -15,6 +15,7 @@ manages."  It extends the Legion class object with:
 """
 
 from dataclasses import dataclass
+from functools import wraps
 
 from repro.core.dcdo import DCDO, RemovePolicy
 from repro.core.descriptor import DFMDescriptor, diff_descriptors
@@ -88,6 +89,20 @@ class WavePolicy:
     def should_abort(self, failed_count):
         """True when ``failed_count`` failures cross the threshold."""
         return self.abort_threshold is not None and failed_count > self.abort_threshold
+
+
+def _wave(method):
+    """Count a wave-driving generator method in ``waves_in_flight``."""
+
+    @wraps(method)
+    def drive(self, *args, **kwargs):
+        self.waves_in_flight += 1
+        try:
+            return (yield from method(self, *args, **kwargs))
+        finally:
+            self.waves_in_flight -= 1
+
+    return drive
 
 
 class DCDOManager(ClassObject):
@@ -173,6 +188,9 @@ class DCDOManager(ClassObject):
         self._relay_announce = False
         self._relay_roster_id = None
         self.wave_policy = wave_policy or WavePolicy.converge()
+        #: Runtime link: waves (propagations and aborts) this object is
+        #: driving right now; a reconciler leaves the fleet to them.
+        self.waves_in_flight = 0
         self.evolutions_performed = 0
         #: Set once a peer proves a newer term exists; the manager has
         #: deactivated itself and must never act again.
@@ -731,36 +749,6 @@ class DCDOManager(ClassObject):
         if shipping is not None:
             shipping.interrupt(loid)
 
-    def recover_instance(self, loid, host_name=None):
-        """Generator: rebuild a crash-lost instance, then re-drive its wave.
-
-        The instance rebuilds at its table version.  If the current
-        version's wave gave up on it while it was down (FAILED after
-        retrying into ``ObjectDeactivated``), no other path delivers
-        that version to it again, so the delivery is re-opened and
-        driven in a process of its own.
-        """
-        binding = yield from super().recover_instance(loid, host_name)
-        tracker = self.state.propagations.get(self.state.current_version)
-        if (
-            tracker is not None
-            and loid in tracker
-            and tracker.delivery(loid).status is DeliveryStatus.FAILED
-            and not tracker.aborting
-        ):
-            self._runtime.sim.spawn(
-                self._redeliver(tracker, loid), name=f"redeliver:{loid}"
-            )
-        return binding
-
-    def _redeliver(self, tracker, loid):
-        """Process body: re-open one FAILED delivery and drive it again."""
-        complete = tracker.complete
-        self._commit("propagation-rearmed", version=tracker.version, loids=[loid])
-        yield from self._deliver(tracker, loid, self.propagation_retry_policy)
-        if complete and self.is_active and not self.deposed and not tracker.aborting:
-            self._commit("propagation-complete", version=tracker.version)
-
     # ------------------------------------------------------------------
     # Evolution (§2.4, §3.3)
     # ------------------------------------------------------------------
@@ -884,6 +872,7 @@ class DCDOManager(ClassObject):
     # Ack-tracked, at-least-once propagation
     # ------------------------------------------------------------------
 
+    @_wave
     def propagate_version(
         self, version, loids=None, retry_policy=None, window=None, wave_policy=None
     ):
@@ -1048,6 +1037,19 @@ class DCDOManager(ClassObject):
         self._relay_batch_window = batch_window
         self._relay_announce = bool(announce) if directory else False
         self._relay_roster_id = roster_id
+
+    @property
+    def relay_route(self):
+        """The :meth:`use_relays` arguments in force, or None."""
+        if not self._relay_directory:
+            return None
+        return {
+            "directory": dict(self._relay_directory),
+            "fanout_k": self._relay_fanout_k,
+            "batch_window": self._relay_batch_window,
+            "announce": self._relay_announce,
+            "roster_id": self._relay_roster_id,
+        }
 
     def _tree_order_key(self):
         """Tree ordering for relay fan-out: healthiest hosts first.
@@ -1737,6 +1739,7 @@ class DCDOManager(ClassObject):
         """Summaries of every propagation, newest last."""
         return [tracker.summary() for tracker in self.state.propagations.values()]
 
+    @_wave
     def resume_propagations(self, retry_policy=None):
         """Generator: finish propagations a crash interrupted.
 
@@ -1878,6 +1881,7 @@ class DCDOManager(ClassObject):
         self._count("canary.breaches")
         return canary
 
+    @_wave
     def abort_wave(self, version, reason="slo-breach"):
         """Generator: breach-abort an open wave and roll everyone back.
 

@@ -5,8 +5,7 @@ The paper's configuration manager evolves objects when *told* to; the
 by deciding *when* — and these policies are the deciding.  Each one
 looks at the controller's sensed state (bus events plus polled
 health/SLO/shard signals) and proposes :class:`RemediationIntent`\\ s;
-the controller owns admission (lease, budget, cooldown, convergence
-guard) and then drives the policy's ``execute`` through the existing
+the controller owns admission (lease, budget, cooldown) and then drives the policy's ``execute`` through the existing
 transactional machinery.  A policy never mutates manager state
 directly: everything goes through ``migrate_instance``,
 ``propagate_version``, ``split_shard`` — the same paths an operator
@@ -44,12 +43,9 @@ def default_remediation_policies(**overrides):
 
 @dataclass(frozen=True)
 class RemediationIntent:
-    """One proposed action: what to do, to what, touching which LOIDs.
+    """One proposed action: what to do, to what, with what.
 
-    ``loids`` is the convergence-guard claim set — every instance the
-    action may drive configuration onto.  Empty means the action
-    touches no instance configuration (cache prewarms) and needs no
-    claim.
+    ``loids`` names the instances a migration moves.
     """
 
     policy: str
@@ -178,8 +174,11 @@ class DemoteDegradedVersion(RemediationPolicy):
     on a burning version with nothing watching.  This policy senses
     ``slo.breach`` events (and polls registered monitors as a backstop
     for breaches that predate the controller), and originates a
-    rollback wave to the current version's parent through the same
-    transactional propagation machinery the canary abort uses.
+    rollback to the current version's parent: it re-designates the
+    parent and aborts the demoted version's wave through the same
+    transactional machinery the canary abort uses.  Converging whatever
+    the abort could not reach (crashed hosts, inherited trackers) is the
+    reconciler's job, which follows the designation it just moved.
     """
 
     name = "demote-degraded-version"
@@ -217,23 +216,16 @@ class DemoteDegradedVersion(RemediationPolicy):
         prior = manager.version_record(current).parent
         if prior is None:
             return []
-        frozen = manager.canary_frozen_loids()
-        loids = tuple(
-            loid for loid in manager.instance_loids() if loid not in frozen
-        )
         return [
             RemediationIntent(
                 policy=self.name,
                 kind="rollback",
                 target=str(current),
-                loids=loids,
                 params={"prior": prior, "version": current, "stream": stream},
             )
         ]
 
     def execute(self, ctx, intent):
-        from repro.core.manager import WavePolicy
-
         manager = ctx.manager
         prior = intent.params["prior"]
         demoted = intent.params["version"]
@@ -247,19 +239,11 @@ class DemoteDegradedVersion(RemediationPolicy):
         #    abort machinery, and its pending deliveries stop retrying
         #    (otherwise the still-open wave races the rollback,
         #    re-upgrading instances behind it).
-        yield from manager.abort_wave(demoted, reason="controller-demote")
-        # 3. Converge: anything the abort could not reach (crashed
-        #    hosts, inherited trackers) is driven to the prior version.
-        tracker = yield from manager.propagate_version(
-            prior,
-            loids=list(intent.loids),
-            retry_policy=ctx.retry_policy,
-            wave_policy=WavePolicy.converge(),
-        )
+        tracker = yield from manager.abort_wave(demoted, reason="controller-demote")
         ctx.runtime.network.count("controller.rollbacks")
         return {
             "rolled_back_to": str(prior),
-            "all_acked": tracker.all_acked,
+            "aborted": tracker is not None and tracker.aborted,
             "stream": intent.params.get("stream"),
         }
 

@@ -629,17 +629,7 @@ class ShardedManagerPlane:
         """
         from repro.cluster.supervisor import Supervisor
 
-        settings = self._relay_settings or {}
         for shard_id in self.shard_ids:
-            manager = self._shards[shard_id]
-            slice_hosts = self._relay_slices.get(shard_id)
-            relays = None
-            if slice_hosts and settings:
-                relays = {
-                    h: settings["directory"][h]
-                    for h in slice_hosts
-                    if h in settings["directory"]
-                }
 
             def on_promote(promoted, shard_id=shard_id):
                 if shard_id in self._shards:
@@ -650,13 +640,8 @@ class ShardedManagerPlane:
                 self.type_name,
                 standby_hosts=standby_hosts,
                 detector_host_name=detector_host_name,
-                manager=manager,
+                manager=self._shards[shard_id],
                 on_promote=on_promote,
-                relays=relays,
-                relay_fanout_k=settings.get("fanout_k", 0) if relays else 0,
-                relay_batch_window=settings.get("batch_window"),
-                relay_announce=bool(settings.get("announce")) if relays else False,
-                relay_roster_id=f"{self.type_name}/s{shard_id}" if relays else None,
                 **supervisor_kwargs,
             ).start()
         return dict(self._supervisors)

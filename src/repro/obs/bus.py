@@ -1,8 +1,8 @@
 """The system's one event stream: synchronous pub/sub on the simulator clock.
 
 Every layer publishes its transitions here, and consumers (the
-reactive controller, tests, report tooling, operators) subscribe by
-topic.  Topics are dotted strings.  A subscription to an exact topic
+reactive controller, the reconcilers, tests, report tooling,
+operators) subscribe by topic.  Topics are dotted strings.  A subscription to an exact topic
 receives that topic, one to a ``"prefix."`` string every topic under
 it, and one to ``"*"`` everything.
 
@@ -27,6 +27,13 @@ detector.suspicion, .recovered failure detector                 watch key
 supervisor.promoted            supervisor                       type name
 controller.action              reactive controller              controller name
 deploy.scheduled               whoever plans a deploy           type name
+
+Subscribers in ``src/``: the reactive controller takes its policies'
+topics (``slo.breach``, ``deploy.scheduled``) plus ``wave.complete``;
+each :class:`~repro.cluster.reconciler.Reconciler` takes ``host.``,
+``class.`` and ``manager.``, only to wake early (it acts on what it
+re-reads, never on the event); a chaos coordinator takes
+``class.instance-recovered`` for its recovery log.
 
 ``manager.<kind>`` is one topic per journal entry kind
 (``manager.instance-version``, ``manager.propagation-ack``,

@@ -163,17 +163,13 @@ def derive_v2(manager):
 
 def supervise(fleet, **kwargs):
     """Start a supervisor for the fleet's manager: standbys on
-    :data:`STANDBY_HOSTS`, detector on :data:`DETECTOR_HOST`, and the
-    fleet's relay routing kept across promotions."""
-    route = RELAY_ROUTES.get(fleet.delivery, {})
+    :data:`STANDBY_HOSTS`, detector on :data:`DETECTOR_HOST`; its
+    reconciler keeps the fleet's relay routing across promotions."""
     return Supervisor(
         fleet.runtime,
         fleet.manager.type_name,
         standby_hosts=STANDBY_HOSTS,
         detector_host_name=DETECTOR_HOST,
-        relays=fleet.relays,
-        relay_fanout_k=route.get("fanout_k", 0),
-        relay_announce=route.get("announce", False),
         retry_policy=FAST_RETRY,
         **kwargs,
     ).start()
@@ -183,13 +179,12 @@ def roll(fleet, seed, supervised=False, plane=None, duration_s=120.0, **kinds):
     """Generate the seed's schedule and install it.
 
     The installing coordinator recovers the fleet's journaled manager
-    when its host restarts — unless ``supervised``: then only a
-    supervisor can bring the authority back.
+    when its host restarts, and its reconciler repairs and converges the
+    fleet — unless ``supervised``: then only a supervisor can bring the
+    authority back.
     """
     journals = {} if supervised else {fleet.manager.type_name: fleet.journal}
-    coordinator = ChaosCoordinator(
-        fleet.runtime, journals=journals, relays=fleet.relays
-    )
+    coordinator = ChaosCoordinator(fleet.runtime, journals=journals)
     schedule = ChaosSchedule.generate(
         seed, list(fleet.runtime.hosts), duration_s=duration_s, **kinds
     )
@@ -204,18 +199,18 @@ def until(sim, at):
 
 
 def converge_fleet(fleet, context):
-    """Generator: heal what is repairable and re-propagate
-    (:func:`drive_to_convergence` on the fleet's journal and relays)
+    """Generator: recover the manager if it is dead and wait on its
+    reconciler (:func:`drive_to_convergence` on the fleet's journal)
     until the fleet converges — which it must."""
-    tracker = yield from drive_to_convergence(
+    converged = yield from drive_to_convergence(
         fleet.runtime,
         fleet.manager.type_name,
         journal=fleet.journal,
         retry_policy=FAST_RETRY,
-        relays=fleet.relays,
     )
-    assert tracker is not None and tracker.all_acked, (
-        f"{context}: fleet did not converge: {tracker and tracker.summary()}"
+    manager = fleet.runtime.class_of(fleet.manager.type_name)
+    assert converged, (
+        f"{context}: fleet did not converge: {manager.propagation_status()}"
     )
 
 

@@ -1,21 +1,16 @@
 """Unit and integration coverage for the self-healing control loop.
 
 Covers the pieces the chaos sweep (``test_chaos_controller``) exercises
-in anger: the event bus, the shared convergence guard (including the
-supervisor-vs-controller double-converge regression), the manager's
-term-fenced remediation lease / intent journal, policy admission
-(budget + cooldown), and end-to-end remediations — SLO-breach rollback,
-quarantine-driven migration, deploy prewarm, and hot-shard splits.
+in anger: the event bus, the manager's term-fenced remediation lease /
+intent journal, policy admission (budget + cooldown), a demotion raised
+while a promoted manager is still converging, and end-to-end
+remediations — SLO-breach rollback, quarantine-driven migration, deploy
+prewarm, and hot-shard splits.
 """
 
 import pytest
 
-from repro.cluster import (
-    ReactiveController,
-    Supervisor,
-    build_lan,
-    convergence_guard,
-)
+from repro.cluster import ReactiveController, build_lan
 from repro.core import ManagerJournal
 from repro.core.policies import (
     DemoteDegradedVersion,
@@ -90,36 +85,6 @@ def test_network_publish_reaches_bus(runtime):
     runtime.network.bus.subscribe("*", events.append)
     runtime.network.publish("custom.topic", "x", detail=1)
     assert events and events[0].topic == "custom.topic"
-
-
-# ----------------------------------------------------------------------
-# Convergence guard
-# ----------------------------------------------------------------------
-
-
-def test_guard_all_or_nothing_claims(runtime):
-    guard = convergence_guard(runtime)
-    assert convergence_guard(runtime) is guard  # one per runtime
-    assert guard.try_claim("supervisor:T", ["a", "b"])
-    # Overlap denies the whole claim — including the free LOID.
-    assert not guard.try_claim("controller:T", ["b", "c"])
-    assert guard.denials == 1
-    assert guard.owner_of("c") is None
-    # Re-claiming one's own holdings is fine.
-    assert guard.try_claim("supervisor:T", ["a", "b"])
-    assert guard.busy("supervisor:")
-    assert not guard.busy("controller:")
-    guard.release("supervisor:T")
-    assert guard.try_claim("controller:T", ["a", "b", "c"])
-    assert guard.violations == 0
-
-
-def test_guard_counts_foreign_release_as_violation(runtime):
-    guard = convergence_guard(runtime)
-    guard.try_claim("x", ["a"])
-    guard.release("y", ["a"])
-    assert guard.violations == 1
-    assert guard.owner_of("a") == "x"  # the claim survived
 
 
 # ----------------------------------------------------------------------
@@ -218,65 +183,6 @@ def test_remediation_state_survives_checkpoint(runtime):
 
 
 # ----------------------------------------------------------------------
-# Satellite: the supervisor/controller double-converge regression
-# ----------------------------------------------------------------------
-
-
-def test_supervisor_defers_while_controller_holds_claims():
-    """Regression: with a controller claim pending on part of the fleet,
-    the supervisor's converge must defer (counted), not run alongside —
-    and must converge once the claim is released."""
-    runtime = LegionRuntime(build_lan(6, seed=11))
-    journal = ManagerJournal(name="Sorter")
-    manager = make_sorter_manager(
-        runtime, journal=journal, propagation_retry_policy=FAST_RETRY
-    )
-    loids = [
-        create_dcdo(runtime, manager, host_name=f"host{i + 1:02d}")[0]
-        for i in range(3)
-    ]
-    supervisor = Supervisor(
-        runtime,
-        "Sorter",
-        standby_hosts=("host04",),
-        detector_host_name="host05",
-        retry_policy=FAST_RETRY,
-        reconcile_interval_s=5.0,
-    ).start()
-    guard = convergence_guard(runtime)
-    assert guard.try_claim("controller:Sorter", [loids[0]])
-
-    from tests.test_chaos_transactions import derive_v2
-
-    v2 = derive_v2(manager)
-
-    def scenario():
-        manager.set_current_version_async(v2)
-        # Give the reconcile loop several chances to converge the drift
-        # while the claim is held: every attempt must defer.
-        yield runtime.sim.timeout(30.0)
-        deferred = runtime.network.count_value("supervisor.converge_deferred")
-        assert deferred >= 1, "supervisor never deferred to the held claim"
-        assert all(
-            manager.record(loid).obj.version != v2 for loid in [loids[0]]
-        ) or True  # the claim blocks the *supervisor*; drift may persist
-        guard.release("controller:Sorter")
-        deadline = runtime.sim.now + 120.0
-        while runtime.sim.now < deadline:
-            if all(
-                manager.record(loid).obj.version == v2 for loid in loids
-            ):
-                break
-            yield runtime.sim.timeout(5.0)
-        supervisor.stop()
-
-    runtime.sim.run_process(scenario())
-    runtime.sim.run()
-    assert all(manager.record(loid).obj.version == v2 for loid in loids)
-    assert guard.violations == 0
-
-
-# ----------------------------------------------------------------------
 # Controller admission: budget and cooldown
 # ----------------------------------------------------------------------
 
@@ -347,21 +253,6 @@ def test_controller_cooldown_limits_repeat_target():
     controller.stop()
     # ~45 s of ticking, 30 s cooldown: the same target fires twice.
     assert len(policy.executed) == 2
-
-
-def test_controller_defers_while_supervisor_converging():
-    runtime = LegionRuntime(build_lan(4, seed=3))
-    make_sorter_manager(runtime, journal=ManagerJournal(name="Sorter"))
-    guard = convergence_guard(runtime)
-    guard.try_claim("supervisor:Sorter", ["anything"])
-    policy = _AlwaysActPolicy()
-    controller = ReactiveController(
-        runtime, "Sorter", policies=[policy], interval_s=1.0
-    ).start()
-    runtime.sim.run_process(_sleep(runtime, 10.0))
-    controller.stop()
-    assert policy.executed == []
-    assert runtime.network.count_value("controller.deferred") >= 1
 
 
 def test_zombie_controller_goes_quiet_after_term_bump():
@@ -447,7 +338,6 @@ def test_controller_demotes_degraded_version():
         "Svc",
         policies=[DemoteDegradedVersion()],
         interval_s=1.0,
-        retry_policy=FAST_RETRY,
     ).start()
 
     def scenario():
@@ -521,7 +411,6 @@ def test_controller_migrates_off_quarantined_host():
         "Svc",
         policies=[MigrateOffFlakyHost()],
         interval_s=1.0,
-        retry_policy=FAST_RETRY,
     ).start()
     flaky = "host01"
     victims = [l for l in loids if manager.record(l).host.name == flaky]

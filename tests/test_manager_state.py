@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.cluster import build_lan
+from repro.cluster import Reconciler, build_lan
 from repro.cluster.chaos import crash_host
 from repro.core import (
     DeliveryStatus,
@@ -329,10 +329,12 @@ def test_rearmed_wave_resumes_after_manager_crash():
 def test_recovered_instance_gets_the_wave_it_missed():
     """An instance whose host was down for the whole wave ends FAILED
     (its delivery retried into ObjectDeactivated).  Rebuilt after the
-    host restarts, it comes back at its table version — the wave must
-    then be re-delivered to it, or it stays behind for good."""
+    host restarts, it comes back at its table version — the manager's
+    reconciler must then re-deliver the wave to it, or it stays behind
+    for good."""
     runtime, manager, journal, loids, v2 = build_fleet()
     sim = runtime.sim
+    Reconciler(runtime, lambda: manager).start()
     crash_host(runtime, runtime.host("host02"))
     tracker = sim.run_process(manager.propagate_version(v2, retry_policy=ONE_SHOT))
     assert tracker.complete
