@@ -312,7 +312,6 @@ def _run_wave(seed, scale):
         "events": events,
         "events_per_s": events / wall_s if wall_s else 0.0,
         "announce_waves": runtime.network.count_value("relay.announce_waves"),
-        "local_binds": runtime.network.count_value("relay.local_binds"),
         "fallback_instances": runtime.network.count_value(
             "relay.fallback_instances"
         ),

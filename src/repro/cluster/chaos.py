@@ -63,7 +63,8 @@ def crash_host(runtime, host):
 
     Returns the LOIDs of instances that died.  Class objects homed on
     the host are deactivated too — their recovery (journal replay) is a
-    separate, explicit act.
+    separate, explicit act — and calls in flight to any object on it
+    are abandoned.
     """
     host.crash()
     died = []
@@ -75,6 +76,9 @@ def crash_host(runtime, host):
                 died.append(loid)
         if class_object.host is host and class_object.is_active:
             class_object.deactivate()
+    # Objects the loop above did not deactivate (relays) die too.
+    for obj in runtime.objects_on_host(host.name):
+        obj.abandon_calls()
     return died
 
 

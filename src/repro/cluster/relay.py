@@ -9,11 +9,15 @@ same handful of machines.
 A :class:`HostRelay` is a small management agent, one per cluster
 host, that receives a single ``evolveBatch`` RPC covering *all*
 colocated instances of a type and applies each instance's two-phase
-``applyConfiguration`` locally.  The per-instance acks it returns feed
-the manager's existing :class:`~repro.core.recovery.PropagationTracker`
-/ journal / wave-policy machinery unchanged — the relay layer is a
-transport optimization, not a weakening of PR 3's transactional
-guarantees:
+``applyConfiguration`` locally: in-process, through the instance's
+server half (:meth:`~repro.legion.objects.LegionObject.serve`), with
+the same simulated charges the RPC to it would have paid — marshal,
+request and reply wire time, server dispatch — but none of its kernel
+events, and no fabric message, so fabric fault rules never touch this
+hop.  The per-instance acks it returns feed the manager's existing
+:class:`~repro.core.recovery.PropagationTracker` / journal /
+wave-policy machinery unchanged — the relay layer is a transport
+optimization, not a weakening of the transactional guarantees:
 
 - application stays idempotent per instance (keyed by target version),
   so a re-sent batch after a lost ack is harmless;
@@ -56,20 +60,25 @@ rounds, which localize the failure, and from there to job batches and
 direct delivery.  Guarantees are unchanged — the aggregate can only
 *under*-commit, never commit an instance the manager did not expect.
 
-Layering note: like :mod:`repro.cluster.chaos` this module orchestrates
-across layers, so runtime imports stay inside functions.
+Calls to a relay (manager to relay, relay to relay) go through
+:func:`call_relay`, which abandons a call once its relay is known gone
+— dead at the call, or its host crashing or the relay being restored
+while the call waits — instead of waiting out the reply ladder.
 """
 
 import zlib
 
 from repro.core.partition import partition_slot
+from repro.legion.errors import LegionError, ObjectUnreachable, UnknownObject
 from repro.legion.objects import LegionObject
+from repro.net import TransportError, run_windowed
+from repro.net.message import HEADER_BYTES
 
 #: In-flight window for a relay applying its local batch.
 RELAY_APPLY_WINDOW = 8
-#: Generous per-attempt reply timeouts for applyConfiguration calls —
-#: prepare-phase downloads can run long (same schedule the manager uses
-#: for direct delivery).
+#: Generous per-attempt reply timeouts for calls to a relay — its
+#: batch's prepare-phase downloads can run long (same schedule the
+#: manager uses for direct delivery).
 RELAY_APPLY_TIMEOUTS = (60.0, 120.0, 600.0)
 #: Nominal wire bytes per job record in a batch (loid + diff framing).
 BATCH_JOB_BYTES = 256
@@ -106,10 +115,12 @@ class HostRelay(LegionObject):
     Exported interface:
 
     - ``evolveBatch(jobs, window, term)`` — apply ``(loid, diff)`` jobs
-      to colocated instances; returns ``(loid, ok, value)`` triples
-      where ``value`` is the version string reached or the exception
-      raised.  ``term`` (optional) is the manager's fencing token,
-      re-stamped on every downstream apply.
+      to colocated instances, at most ``window`` at once, in-process;
+      returns ``(loid, ok, value)`` triples where ``value`` is the
+      version string reached or the exception raised (a job whose
+      instance is not active on this host fails
+      :class:`ObjectUnreachable`).  ``term`` (optional) is the
+      manager's fencing token, fenced by every instance applied.
     - ``relayTree(bundle)`` — apply this host's jobs *and* forward
       child bundles to downstream relays concurrently, aggregating the
       whole subtree's acks into one reply.
@@ -117,7 +128,8 @@ class HostRelay(LegionObject):
     The relay is stateless between batches: its endpoint address lives
     under ``<host>/`` so a host crash severs it like any colocated
     object, and recovery is a plain re-activation (see
-    :func:`restore_relays`).
+    :func:`restore_relays`), which also abandons calls still waiting
+    on the dead incarnation (see :func:`call_relay`).
     """
 
     def __init__(self, runtime, loid, host):
@@ -144,49 +156,18 @@ class HostRelay(LegionObject):
     # Local batch application
     # ------------------------------------------------------------------
 
-    def _prewarm_local_bindings(self, loids):
-        """Resolve colocated targets host-locally, skipping the agent.
-
-        The node's runtime already knows the physical addresses of
-        endpoints it hosts, so a relay binding to a target on its own
-        host need not pay a round trip to the central binding agent.
-        Without this, a fleet-wide wave funnels one resolve per
-        instance through the agent's single port — an O(instances)
-        serial bottleneck on what is otherwise a parallel diffusion
-        tree.
-        """
-        cache = self.invoker.binding_cache
-        agent = self.runtime.binding_agent
-        warmed = 0
-        for loid in loids:
-            if loid in cache:
-                continue
-            obj = self.runtime.live_object(loid)
-            if obj is None or not obj.is_active or obj.host is not self.host:
-                continue
-            cache.put(agent.resolve_local(loid))
-            warmed += 1
-        if warmed:
-            self.runtime.network.count("relay.local_binds", warmed)
-
     def _apply_jobs(self, jobs, window, term=None):
         """Generator: apply ``(loid, diff)`` jobs, windowed; returns acks.
 
-        ``term`` is the sending manager's fencing token; re-stamping it
-        on every downstream ``applyConfiguration`` keeps the batch path
-        as fenced as direct delivery — a deposed manager's batch is
-        rejected per instance, and the rejection rides back in the acks.
+        ``term`` is the sending manager's fencing token; every colocated
+        instance fences it as it fences an RPC, so a deposed manager's
+        batch is rejected per instance and the rejection rides back in
+        the acks.
         """
         jobs = list(jobs)
-        self._prewarm_local_bindings([loid for loid, __ in jobs])
-        calls = [
-            (loid, "applyConfiguration", (diff,)) for loid, diff in jobs
-        ]
-        outcomes = yield from self.invoker.invoke_each(
-            calls,
-            window=window or RELAY_APPLY_WINDOW,
-            timeout_schedule=RELAY_APPLY_TIMEOUTS,
-            term=term,
+        thunks = [lambda job=job: self._apply_local(*job, term) for job in jobs]
+        outcomes = yield from run_windowed(
+            self.sim, thunks, window or RELAY_APPLY_WINDOW
         )
         acks = []
         for (loid, __), (ok, value) in zip(jobs, outcomes):
@@ -199,6 +180,60 @@ class HostRelay(LegionObject):
         self.runtime.network.count("relay.batches")
         self.runtime.network.count("relay.batch_instances", len(jobs))
         return acks
+
+    def _apply_local(self, loid, diff, term):
+        """Generator: one colocated instance's ``applyConfiguration``.
+
+        Runs the instance's server half (:meth:`LegionObject.serve`) in
+        this worker instead of over the fabric, charging what the RPC
+        charged, step by step: the client marshal, the request's wire
+        time on this relay's port, the server half, and the reply's wire
+        time on the instance's port.  A job whose instance is not active
+        on this host fails at once; one whose relay or instance dies on
+        the way fails when the death is seen, so nothing is acked from a
+        crashed host.  Either failure is :class:`ObjectUnreachable`, and
+        the manager delivers the instance directly.
+        """
+        sim = self.sim
+        network = self.runtime.network
+        calibration = self.calibration
+        started = sim.now
+        obj = self.runtime.live_object(loid)
+        relay_address = self.address
+        address = obj.address if obj is not None and obj.host is self.host else None
+        if address is None or relay_address is None:
+            raise ObjectUnreachable(loid, 0.0)
+
+        def alive():
+            return self.address == relay_address and obj.address == address
+
+        def wire(source, destination, size_bytes):
+            arrival = network.reserve_path(
+                source, destination, size_bytes + HEADER_BYTES
+            )
+            return sim.timeout(arrival - sim.now)
+
+        yield sim.timeout(calibration.method_dispatch_s)
+        if alive():
+            yield wire(relay_address, address, calibration.method_message_bytes)
+        if not alive():
+            raise ObjectUnreachable(loid, sim.now - started)
+        try:
+            value, reply_bytes = yield from obj.serve(
+                "applyConfiguration", (diff,), term
+            )
+        except Exception as error:  # noqa: BLE001 - acked as the failure
+            value, reply_bytes = error, 0
+        if alive():
+            yield wire(address, relay_address, reply_bytes)
+        if not alive():
+            raise ObjectUnreachable(loid, sim.now - started)
+        # The reply over the fabric fed the peer-health registry; keep
+        # that signal, so health-armed runs score this host as before.
+        network.health_observe(address, "success")
+        if isinstance(value, Exception):
+            raise value
+        return value
 
     def _m_evolve_batch(self, ctx, jobs, window=None, term=None):
         acks = yield from self._apply_jobs(jobs, window, term)
@@ -217,9 +252,6 @@ class HostRelay(LegionObject):
         application and child forwarding run concurrently; the reply
         aggregates every subtree ack.
         """
-        from repro.net import TransportError, run_windowed
-        from repro.legion.errors import LegionError
-
         window = bundle.get("window") or RELAY_APPLY_WINDOW
         children = list(bundle.get("children") or ())
         term = bundle.get("term")
@@ -227,13 +259,9 @@ class HostRelay(LegionObject):
         def forward(child):
             child = dict(child, term=term)
             try:
-                acks = yield from self.invoker.invoke(
-                    child["relay"],
-                    "relayTree",
-                    (child,),
-                    payload_bytes=BATCH_JOB_BYTES * count_jobs(child),
-                    timeout_schedule=RELAY_APPLY_TIMEOUTS,
-                    term=term,
+                acks = yield from call_relay(
+                    self, child["relay"], "relayTree", (child,),
+                    BATCH_JOB_BYTES * count_jobs(child), term=term,
                 )
             except (LegionError, TransportError):
                 # The whole subtree is unreachable through this child;
@@ -242,8 +270,6 @@ class HostRelay(LegionObject):
                 # unreachable — never the child error verbatim, which
                 # for a vanished relay would be an UnknownObject and
                 # read at the manager as "instance deleted" (terminal).
-                from repro.legion.errors import ObjectUnreachable
-
                 self.runtime.network.count("relay.subtree_failures")
                 failure = ObjectUnreachable(child["relay"], 0.0)
                 return [
@@ -320,9 +346,6 @@ class HostRelay(LegionObject):
         per-host summary per subtree host — O(hosts) bytes total, never
         O(instances).
         """
-        from repro.net import TransportError, run_windowed
-        from repro.legion.errors import LegionError
-
         node = bundle["node"]
         window = bundle.get("window") or RELAY_APPLY_WINDOW
         term = bundle.get("term")
@@ -331,13 +354,9 @@ class HostRelay(LegionObject):
         def forward(child):
             child_bundle = dict(bundle, node=child)
             try:
-                acks = yield from self.invoker.invoke(
-                    child["relay"],
-                    "announceTree",
-                    (child_bundle,),
-                    payload_bytes=announce_bundle_bytes(child_bundle),
-                    timeout_schedule=RELAY_APPLY_TIMEOUTS,
-                    term=term,
+                acks = yield from call_relay(
+                    self, child["relay"], "announceTree", (child_bundle,),
+                    announce_bundle_bytes(child_bundle), term=term,
                 )
             except (LegionError, TransportError):
                 # Whole subtree unreachable through this child: report
@@ -373,9 +392,6 @@ class HostRelay(LegionObject):
         in as zero hosts; the manager sees the shortfall in the
         aggregate and falls back to per-host rounds.
         """
-        from repro.net import TransportError, run_windowed
-        from repro.legion.errors import LegionError
-
         roster_id = bundle.get("roster")
         if roster_id is None:
             roster = self.announce_roster or ()
@@ -403,13 +419,9 @@ class HostRelay(LegionObject):
                 self.invoker.binding_cache.put(child_binding)
             child_bundle = dict(bundle, lo=start, hi=stop)
             try:
-                ack = yield from self.invoker.invoke(
-                    child_relay,
-                    "announceFleet",
-                    (child_bundle,),
-                    payload_bytes=announce_fleet_bytes(child_bundle),
-                    timeout_schedule=RELAY_APPLY_TIMEOUTS,
-                    term=term,
+                ack = yield from call_relay(
+                    self, child_relay, "announceFleet", (child_bundle,),
+                    announce_fleet_bytes(child_bundle), term=term,
                 )
             except (LegionError, TransportError):
                 self.runtime.network.count("relay.subtree_failures")
@@ -441,6 +453,31 @@ class HostRelay(LegionObject):
             ANNOUNCE_HOST_BYTES * len(total["failures"])
         )
         return total
+
+
+def call_relay(caller, relay_loid, method, args, payload_bytes, term=None):
+    """Generator: ``caller``'s RPC to a relay; returns the relay's reply.
+
+    A relay dies with its host.  A call to a relay already known dead
+    fails at once, and a call in flight is abandoned when the relay's
+    host crashes (:func:`~repro.cluster.chaos.crash_host`) or the relay
+    is re-activated (:func:`restore_relays`), instead of waiting out
+    :data:`RELAY_APPLY_TIMEOUTS` (see
+    :meth:`~repro.legion.objects.LegionObject.abandonable`).  Both raise
+    :class:`ObjectUnreachable`, which drops the wave to its next path.
+    """
+    relay = caller.runtime.live_object(relay_loid)
+    if relay is not None and not relay.is_active:
+        raise ObjectUnreachable(relay_loid, 0.0)
+    call = caller.invoker.invoke(
+        relay_loid, method, args, payload_bytes=payload_bytes,
+        timeout_schedule=RELAY_APPLY_TIMEOUTS, term=term,
+    )
+    if relay is None:
+        return (yield from call)
+    return (yield from relay.abandonable(
+        call, lambda elapsed: ObjectUnreachable(relay_loid, elapsed)
+    ))
 
 
 def chunk_spans(lo, hi, fanout_k):
@@ -634,8 +671,6 @@ def seed_announce_roster(runtime, directory, roster_id=None):
     forward, which reports the subtree short and drops the wave to the
     per-host paths.
     """
-    from repro.legion.errors import UnknownObject
-
     agent = runtime.binding_agent
     entries = []
     for host_name, loid in sorted(directory.items()):

@@ -46,7 +46,6 @@ from repro.legion.errors import (
 )
 from repro.legion.klass import ClassObject, InstanceRecord
 from repro.net import ManagerTerm, RetryPolicy, TransportError, run_windowed
-from repro.sim import Interrupt
 
 #: Spacing for at-least-once propagation deliveries: patient enough to
 #: ride out a host outage plus stale-binding rediscovery, bounded so a
@@ -172,9 +171,6 @@ class DCDOManager(ClassObject):
         self._drafts = {}
         #: Runtime link: implementation type of each live instance.
         self._instance_impl_types = {}
-        #: Runtime link: loid -> the process whose evolution RPC is in
-        #: flight to it.
-        self._shipping = {}
         self._journal = None
         self.propagation_retry_policy = (
             propagation_retry_policy or DEFAULT_PROPAGATION_RETRY
@@ -739,16 +735,6 @@ class DCDOManager(ClassObject):
         if followup is not None:
             self._runtime.sim.spawn(followup, name=f"post-migrate:{record.loid}")
 
-    def instance_lost(self, loid):
-        """As for the class object; an evolution RPC in flight to the
-        dead instance is abandoned now, so the delivery retries (and
-        recovery takes the management lock) without first waiting out
-        the RPC's timeout ladder."""
-        super().instance_lost(loid)
-        shipping = self._shipping.pop(loid, None)
-        if shipping is not None:
-            shipping.interrupt(loid)
-
     # ------------------------------------------------------------------
     # Evolution (§2.4, §3.3)
     # ------------------------------------------------------------------
@@ -802,26 +788,24 @@ class DCDOManager(ClassObject):
                 if self.invoker.term_source is not None:
                     yield from self.invoker.invoke(loid, "getVersion", ())
                 return from_version
+            def lost(elapsed_s):
+                return ObjectDeactivated(
+                    f"instance {loid} was lost with its host mid-delivery"
+                )
+
             def ship(diff):
                 # Generous per-attempt timeouts (downloads can take tens
                 # of seconds) with retries; applyConfiguration is
-                # idempotent.  A host crash interrupts the wait (see
-                # instance_lost) instead of letting it run the ladder.
-                try:
-                    return (
-                        yield from self.invoker.invoke(
-                            loid,
-                            "applyConfiguration",
-                            (diff,),
-                            timeout_schedule=(60.0, 120.0, 600.0),
-                        )
-                    )
-                except Interrupt:
-                    raise ObjectDeactivated(
-                        f"instance {loid} was lost with its host mid-delivery"
-                    ) from None
+                # idempotent.  The instance's loss (host crash) abandons
+                # the wait instead of letting it run the ladder.
+                call = self.invoker.invoke(
+                    loid,
+                    "applyConfiguration",
+                    (diff,),
+                    timeout_schedule=(60.0, 120.0, 600.0),
+                )
+                return (yield from record.obj.abandonable(call, lost))
 
-            self._shipping[loid] = self._runtime.sim.active_process
             try:
                 yield from ship(
                     self._diff_between(from_version, target_version, enforce_policy)
@@ -836,8 +820,6 @@ class DCDOManager(ClassObject):
                         refusal.actual_version, target_version, enforce_policy
                     )
                 )
-            finally:
-                self._shipping.pop(loid, None)
             self._commit("instance-version", loid=loid, version=target_version)
             if record.active:
                 record.version_tag = str(target_version)
@@ -902,7 +884,8 @@ class DCDOManager(ClassObject):
             raise VersionNotInstantiable(
                 f"cannot propagate configurable version {version}"
             )
-        if loids is None:
+        every = loids is None
+        if every:
             loids = self.instance_loids()
         tracker = self.state.propagations.get(version)
         if tracker is None:
@@ -922,10 +905,13 @@ class DCDOManager(ClassObject):
             yield from self._finish_abort(tracker)
             return tracker
         else:
-            # Re-arm: admit the new instances and re-open every failed
-            # or rolled-back delivery.
+            # Re-arm: admit the new instances and re-open the failed or
+            # rolled-back deliveries among ``loids`` (every one when the
+            # caller named none).
             reopen = [loid for loid in loids if loid not in tracker]
-            reopen += tracker.loids_in(DeliveryStatus.FAILED, DeliveryStatus.ROLLED_BACK)
+            failed = tracker.loids_in(DeliveryStatus.FAILED, DeliveryStatus.ROLLED_BACK)
+            wanted = set(loids)
+            reopen += [loid for loid in failed if every or loid in wanted]
             self._commit("propagation-rearmed", version=version, loids=reopen)
         policy = retry_policy or self.propagation_retry_policy
         window = window or self.fanout_window
@@ -1163,8 +1149,8 @@ class DCDOManager(ClassObject):
         """
         from repro.cluster.relay import (
             BATCH_JOB_BYTES,
-            RELAY_APPLY_TIMEOUTS,
             build_relay_tree,
+            call_relay,
             count_jobs,
         )
 
@@ -1227,12 +1213,9 @@ class DCDOManager(ClassObject):
                 bundle["term"] = self.current_term()
                 self._count("relay.tree_waves")
                 try:
-                    acks = yield from self.invoker.invoke(
-                        bundle["relay"],
-                        "relayTree",
-                        (bundle,),
-                        payload_bytes=BATCH_JOB_BYTES * count_jobs(bundle),
-                        timeout_schedule=RELAY_APPLY_TIMEOUTS,
+                    acks = yield from call_relay(
+                        self, bundle["relay"], "relayTree", (bundle,),
+                        BATCH_JOB_BYTES * count_jobs(bundle),
                     )
                 except (LegionError, TransportError, RuntimeError) as error:
                     if isinstance(error, StaleManagerTerm):
@@ -1246,12 +1229,10 @@ class DCDOManager(ClassObject):
             else:
                 hosts = sorted(remaining)
                 thunks = [
-                    lambda h=host, j=tuple(remaining[host]): self.invoker.invoke(
-                        directory[h],
-                        "evolveBatch",
+                    lambda h=host, j=tuple(remaining[host]): call_relay(
+                        self, directory[h], "evolveBatch",
                         (j, self._relay_batch_window, self.current_term()),
-                        payload_bytes=BATCH_JOB_BYTES * len(j),
-                        timeout_schedule=RELAY_APPLY_TIMEOUTS,
+                        BATCH_JOB_BYTES * len(j),
                     )
                     for host in hosts
                 ]
@@ -1347,8 +1328,8 @@ class DCDOManager(ClassObject):
         localize whatever the aggregate could only detect.
         """
         from repro.cluster.relay import (
-            RELAY_APPLY_TIMEOUTS,
             announce_fleet_bytes,
+            call_relay,
             set_digest,
         )
 
@@ -1392,12 +1373,9 @@ class DCDOManager(ClassObject):
         }
         self._count("relay.announce_waves")
         try:
-            ack = yield from self.invoker.invoke(
-                roster[0][1],
-                "announceFleet",
-                (bundle,),
-                payload_bytes=announce_fleet_bytes(bundle),
-                timeout_schedule=RELAY_APPLY_TIMEOUTS,
+            ack = yield from call_relay(
+                self, roster[0][1], "announceFleet", (bundle,),
+                announce_fleet_bytes(bundle),
             )
         except (LegionError, TransportError, RuntimeError) as error:
             if isinstance(error, StaleManagerTerm):
@@ -1451,9 +1429,9 @@ class DCDOManager(ClassObject):
         when the wave must stop (fenced or deactivated).
         """
         from repro.cluster.relay import (
-            RELAY_APPLY_TIMEOUTS,
             announce_bundle_bytes,
             build_announce_tree,
+            call_relay,
             set_digest,
         )
 
@@ -1475,12 +1453,9 @@ class DCDOManager(ClassObject):
         }
         self._count("relay.announce_waves")
         try:
-            acks = yield from self.invoker.invoke(
-                node["relay"],
-                "announceTree",
-                (bundle,),
-                payload_bytes=announce_bundle_bytes(bundle),
-                timeout_schedule=RELAY_APPLY_TIMEOUTS,
+            acks = yield from call_relay(
+                self, node["relay"], "announceTree", (bundle,),
+                announce_bundle_bytes(bundle),
             )
         except (LegionError, TransportError, RuntimeError) as error:
             if isinstance(error, StaleManagerTerm):

@@ -17,6 +17,7 @@ import itertools
 
 from repro.legion.errors import MethodNotFound
 from repro.legion.rpc import MethodInvoker
+from repro.sim.errors import Interrupt
 
 _address_counter = itertools.count(1)
 
@@ -117,6 +118,7 @@ class LegionObject:
         "_process",
         "_binding",
         "_invoker",
+        "_callers",
         "state",
         "state_bytes",
         "active_requests",
@@ -134,6 +136,9 @@ class LegionObject:
         self._process = None
         self._binding = None
         self._invoker = None
+        # Processes waiting in :meth:`abandonable` calls to this object,
+        # each with its abandonment token; created on first use.
+        self._callers = None
         self.state = {}
         self.state_bytes = state_bytes
         self.active_requests = 0
@@ -247,6 +252,7 @@ class LegionObject:
             rng=self._runtime.rng,
         )
         self._binding = self._runtime.binding_agent.register(self._loid, address)
+        self.abandon_calls()
         return self._binding
         yield  # pragma: no cover - uniform generator shape for callers
 
@@ -260,6 +266,47 @@ class LegionObject:
             self._endpoint.close()
         self._endpoint = None
         self._invoker = None
+        self.abandon_calls()
+
+    def abandonable(self, call, lost):
+        """Generator: run ``call``, an invocation of this object, until
+        the object is lost; returns its result.
+
+        If :meth:`abandon_calls` runs while the call waits, no reply can
+        come, so the call raises ``lost(elapsed_s)`` at once instead of
+        waiting out its reply timeouts.  An abandonment the call outran
+        (the reply woke it in the same instant) is withdrawn, so it never
+        lands on the caller's next wait.
+        """
+        sim = self.sim
+        process = sim.active_process
+        token = object()
+        if self._callers is None:
+            self._callers = {}
+        self._callers[process] = token
+        started = sim.now
+        try:
+            return (yield from call)
+        except Interrupt as interrupt:
+            if interrupt.cause is not token:
+                raise
+            raise lost(sim.now - started) from None
+        finally:
+            if self._callers and self._callers.get(process) is token:
+                del self._callers[process]
+            process.withdraw_interrupt(token)
+
+    def abandon_calls(self):
+        """Abandon every :meth:`abandonable` call waiting on this object.
+
+        Runs when no earlier call can be answered: the object was
+        deactivated or re-activated, or its host crashed (see
+        :func:`~repro.cluster.chaos.crash_host`).
+        """
+        callers, self._callers = self._callers, None
+        for process, token in (callers or {}).items():
+            if process.is_alive and process is not self.sim.active_process:
+                process.interrupt(token)
 
     # ------------------------------------------------------------------
     # State capture / restore (used by migration and baseline evolution)
@@ -340,7 +387,17 @@ class LegionObject:
         payload = message.payload
         if payload.get("op") != "invoke":
             raise ValueError(f"unknown object op {payload.get('op')!r}")
-        term = message.term
+        return (yield from self.serve(payload["method"], payload["args"], message.term))
+
+    def serve(self, method, args, term=None):
+        """Generator: the server half of one invocation.
+
+        Fences ``term``, charges the server-side unmarshalling and
+        dispatch, and runs ``method``; returns ``(result, reply_bytes)``.
+        Requests from the fabric arrive here through
+        :meth:`_handle_request`; a host-local caller (a relay applying
+        its colocated instances) calls it directly.
+        """
         if term is not None:
             latest = self._terms_seen.get(term.scope)
             if latest is not None and term.number < latest:
@@ -360,9 +417,7 @@ class LegionObject:
         yield self._host.cpu_work(self.calibration.method_dispatch_s)
         self.active_requests += 1
         try:
-            result, reply_bytes = yield from self._dispatch_external(
-                payload["method"], payload["args"]
-            )
+            result, reply_bytes = yield from self._dispatch_external(method, args)
         finally:
             self.active_requests -= 1
         self.requests_completed += 1

@@ -18,7 +18,6 @@ from repro.net import (
     CircuitState,
     RemoteError,
     RequestTimeout,
-    run_windowed,
 )
 
 
@@ -415,74 +414,6 @@ class MethodInvoker:
             self.stats.epoch_observations += 1
             return reply.value
         return reply
-
-    def invoke_many(
-        self,
-        loids,
-        method,
-        args=(),
-        window=8,
-        payload_bytes=None,
-        timeout_schedule=None,
-        retry_policy=None,
-    ):
-        """Generator: invoke ``method`` on many objects, windowed.
-
-        The invoker-level counterpart of the endpoint's ``broadcall``:
-        at most ``window`` invocations are in flight at once, each freed
-        slot immediately starting the next.  Returns an ordered mapping
-        ``loid -> (ok, value-or-exception)``.
-        """
-        loids = list(loids)
-        thunks = [
-            lambda l=loid: self.invoke(
-                l,
-                method,
-                args,
-                payload_bytes=payload_bytes,
-                timeout_schedule=timeout_schedule,
-                retry_policy=retry_policy,
-            )
-            for loid in loids
-        ]
-        outcomes = yield from run_windowed(self._endpoint.sim, thunks, window)
-        return dict(zip(loids, outcomes))
-
-    def invoke_each(
-        self,
-        calls,
-        window=8,
-        payload_bytes=None,
-        timeout_schedule=None,
-        retry_policy=None,
-        breaker=None,
-        term=None,
-    ):
-        """Generator: heterogeneous windowed invocations.
-
-        Unlike :meth:`invoke_many` (one method fanned to many objects),
-        ``calls`` is a sequence of ``(loid, method, args)`` triples —
-        each target gets its *own* arguments.  This is the shape a host
-        relay needs to apply per-instance configuration diffs to its
-        colocated DCDOs.  Returns ``(ok, value-or-exception)`` pairs in
-        input order, at most ``window`` in flight at once.
-        """
-        calls = list(calls)
-        thunks = [
-            lambda c=call: self.invoke(
-                c[0],
-                c[1],
-                c[2],
-                payload_bytes=payload_bytes,
-                timeout_schedule=timeout_schedule,
-                retry_policy=retry_policy,
-                breaker=breaker,
-                term=term,
-            )
-            for call in calls
-        ]
-        outcomes = yield from run_windowed(self._endpoint.sim, thunks, window)
-        return outcomes
 
     @staticmethod
     def _unwrap(error):

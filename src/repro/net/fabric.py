@@ -382,6 +382,21 @@ class Network:
             frozenset((site_a, site_b)), self._latency_s
         )
 
+    def reserve_path(self, source, destination, wire_bytes):
+        """Reserve ``source``'s egress for ``wire_bytes``; returns the arrival.
+
+        The arrival instant is the departure (see
+        :meth:`Port.reserve_egress`) plus the pair's propagation latency.
+        :meth:`send` schedules delivery at it; a host-local caller that
+        charges the same wire time without sending (a relay applying its
+        colocated instances) waits until it.
+        """
+        source_port = self._ports.get(source)
+        if source_port is None:
+            raise ValueError(f"unknown source address {source!r}")
+        departure = source_port.reserve_egress(wire_bytes, self._sim.now)
+        return departure + self.latency_between(source, destination)
+
     def send(self, message):
         """Put ``message`` in flight; delivery is fire-and-forget.
 
@@ -392,12 +407,10 @@ class Network:
         batch — broadcast and relay fan-out pay one kernel event per
         (arrival instant) wave, not one per message.
         """
-        source_port = self._ports.get(message.source)
-        if source_port is None:
-            raise ValueError(f"unknown source address {message.source!r}")
         now = self._sim.now
-        departure = source_port.reserve_egress(message.wire_bytes, now)
-        arrival = departure + self.latency_between(message.source, message.destination)
+        arrival = self.reserve_path(
+            message.source, message.destination, message.wire_bytes
+        )
         envelope = self._pending_arrivals.get(arrival)
         if envelope is None:
             pool = self._envelope_pool

@@ -61,6 +61,17 @@ class Process(Event):
         self._interrupts.append(Interrupt(cause))
         self._sim._schedule_now(self._deliver_interrupt)
 
+    def withdraw_interrupt(self, cause):
+        """Drop the queued, undelivered interrupts raised with ``cause``.
+
+        For a wait an interrupt was aimed at that ended before the
+        interrupt landed: it must not hit the process's next wait.
+        """
+        if self._interrupts:
+            self._interrupts = [
+                interrupt for interrupt in self._interrupts if interrupt.cause is not cause
+            ]
+
     def _deliver_interrupt(self):
         if not self._interrupts or not self.is_alive:
             return

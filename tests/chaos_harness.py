@@ -338,7 +338,7 @@ def supervised_wave(
     """Evolve to v2 under the seed's schedule with no operator in the loop.
 
     The schedule crashes or partitions the manager hosts (``kinds`` add
-    to that); the wave fires just before the first fault, so it catches
+    to that; by default every third seed partitions); the wave fires just before the first fault, so it catches
     deliveries in flight.  No test code recovers the manager: the
     supervisor alone must detect the failure, promote a standby with a
     bumped fencing term and converge the fleet.  Checks never-half-
@@ -352,13 +352,13 @@ def supervised_wave(
     carry the fleet to v2.
     """
     supervisor = supervise(fleet, detector_mode=detector_mode)
+    kinds.setdefault("max_manager_partitions", 1 if seed % 3 == 0 else 0)
     schedule = roll(
         fleet,
         seed,
         supervised=True,
         protect=(DETECTOR_HOST, ICO_HOST),
         manager_hosts=(MANAGER_HOST,) + STANDBY_HOSTS,
-        max_manager_partitions=1 if seed % 3 == 0 else 0,
         **kinds,
     )
     manager, sim, context = fleet.manager, fleet.runtime.sim, f"seed {seed}"

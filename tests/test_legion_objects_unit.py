@@ -52,6 +52,61 @@ def test_deactivate_is_idempotent(runtime):
     assert obj.address is None
 
 
+def _waiting_call(event):
+    value = yield event
+    return value
+
+
+def test_abandon_calls_fails_a_waiting_call_at_once(runtime):
+    klass = make_counter_class(runtime)
+    loid = runtime.sim.run_process(klass.create_instance())
+    obj = klass.record(loid).obj
+    sim = runtime.sim
+    started = sim.now
+
+    def caller():
+        try:
+            yield from obj.abandonable(_waiting_call(sim.event()), LookupError)
+        except LookupError as lost:
+            return lost.args[0], sim.now - started
+
+    def crash():
+        yield sim.timeout(2.0)
+        obj.abandon_calls()
+
+    process = sim.spawn(caller())
+    sim.spawn(crash())
+    sim.run()
+    assert process.value == (2.0, 2.0)
+
+
+def test_abandonment_outrun_by_the_reply_never_lands_later(runtime):
+    """The reply and the abandonment land in one instant, the reply
+    first: the call returns its reply and the caller's next wait runs
+    undisturbed."""
+    klass = make_counter_class(runtime)
+    loid = runtime.sim.run_process(klass.create_instance())
+    obj = klass.record(loid).obj
+    sim = runtime.sim
+    reply = sim.event()
+    started = sim.now
+
+    def caller():
+        value = yield from obj.abandonable(_waiting_call(reply), LookupError)
+        yield sim.timeout(5.0)
+        return value, sim.now
+
+    def answer_then_crash():
+        yield sim.timeout(1.0)
+        reply.succeed(7)
+        obj.abandon_calls()
+
+    process = sim.spawn(caller())
+    sim.spawn(answer_then_crash())
+    sim.run()
+    assert process.value == (7, started + 1.0 + 5.0)
+
+
 def test_invoker_unavailable_when_inactive(runtime):
     klass = make_counter_class(runtime)
     loid = runtime.sim.run_process(klass.create_instance())
